@@ -380,10 +380,12 @@ def cmd_calibrate(args):
     from .constructions import cnot_class_pulse, onestep_bgate
 
     b_gate = onestep_bgate(refined=True)
-    loss_b = gate_purity(b_gate.params, cal.noise, t_final=b_gate.params.t0).loss()
+    t_b = b_gate.params.t0
+    loss_b = gate_purity(b_gate.params, cal.noise, t_final=t_b, dt=t_b).loss()
     ratio = (cal_cfg.get("j_ghz") or 20.0) / float(cal_cfg["delta_ghz"])
     class_gate = cnot_class_pulse(ratio, 1.0)
-    loss_cnot = gate_purity(class_gate.params, cal.noise, t_final=class_gate.params.t0).loss()
+    t_cnot = class_gate.params.t0
+    loss_cnot = gate_purity(class_gate.params, cal.noise, t_final=t_cnot, dt=t_cnot).loss()
     payload = {
         "alpha": cal.alpha,
         "flagged": cal.flagged,

@@ -18,7 +18,7 @@ class NonUnitaryError(DegengateError, ValueError):
 
 
 class IntegrationError(DegengateError, RuntimeError):
-    """Fixed-step integration failed its step-halving convergence check."""
+    """Repeated propagator products drifted from the exact final state."""
 
 
 class StateValidityError(DegengateError, RuntimeError):

@@ -189,7 +189,7 @@ def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel,
     if nm.alpha == 0.0:
         purity_loss, rate = 0.0, 0.0
     else:
-        trace = gate_purity(params, nm, t_final=t0)
+        trace = gate_purity(params, nm, t_final=t0, dt=t0)
         purity_loss, rate = trace.loss(), trace.decay_rate
     return GateReport(
         target=target.name,

@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
-from .errors import InvalidParameterError
+from .errors import DegengateError, InvalidParameterError
 from .hamiltonian import (
     PARAM_NAMES,
     HamiltonianParams,
@@ -323,7 +323,7 @@ def _sweep_cell(grid, nm, v1, v2):
             True,
             "",
         )
-    except Exception as exc:  # per-cell failures never abort the sweep
+    except (DegengateError, np.linalg.LinAlgError) as exc:  # numerical failures stay per cell
         return (np.nan, "none", np.nan, np.nan, np.nan, False, f"error: {exc}")
 
 
@@ -494,7 +494,9 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         u0 = target.matrix if isinstance(target, GateTarget) else np.asarray(target)
         check_linear = True
     base_loss = (
-        gate_purity(params, nm, t_final=gate_time).loss() if nm.alpha > 0.0 else 0.0
+        gate_purity(params, nm, t_final=gate_time, dt=gate_time).loss()
+        if nm.alpha > 0.0
+        else 0.0
     )
 
     def coherent(p):
@@ -504,7 +506,7 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     def total(p):
         err = coherent(p)
         if nm.alpha > 0.0:
-            err += gate_purity(p, nm, t_final=gate_time).loss() - base_loss
+            err += gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss() - base_loss
         return err
 
     quadratic, linear, coh_linear, radii, purity_quad = {}, {}, {}, {}, {}

@@ -154,7 +154,7 @@ class TestCriterion4RedfieldPhysics:
             p = random_params(rng, scale=1.2)
             temperature = float(rng.choice([0.0, 0.2, 1.0]))
             nm = NoiseModel.from_reduced(alpha=0.01, temperature=temperature)
-            trace = gate_purity(p, nm, t_final=1.0)  # step-halving enforced inside
+            trace = gate_purity(p, nm, t_final=1.0)  # propagator check enforced inside
             ok = ok and np.all(trace.average <= 1.0 + 1e-9)
             ok = ok and np.all(trace.average >= 1.0 / 16.0 - 1e-9)
 
@@ -179,7 +179,7 @@ class TestCriterion4RedfieldPhysics:
         verdict(
             4,
             ok and elapsed < 120.0,
-            f"100 random configs: purity bounds held, step-halving < 1e-8 "
+            f"100 random configs: purity bounds held, propagator check < 1e-8 "
             f"enforced; long-run max trace dev {worst_trace:.1e}, Hermiticity "
             f"dev {worst_herm:.1e}; 1/T1 matches pinned (pi/2)S(Delta) to "
             f"{abs(pinned - 1.0):.3%}; {elapsed:.0f}s",

@@ -16,15 +16,43 @@ from degengate import (
     relax_time_check,
     sequence_gate_purity,
 )
+from degengate.constructions import onestep_bgate, onestep_cnot
 from degengate.errors import IntegrationError, StateValidityError
-from degengate.redfield import RELAXATION_NORMALIZATION, _pipeline
-from degengate.hamiltonian import EigenSystem
+from degengate.redfield import RELAXATION_NORMALIZATION, _pipeline, default_step
+from degengate.hamiltonian import PARAM_NAMES, EigenSystem
 
 from conftest import random_params
 
 SQ7_4 = np.sqrt(7.0) / 4.0
 CNOT_REFINED = HamiltonianParams(delta2=1.5, eps1=-0.25, eps2=-SQ7_4, jz=-SQ7_4)
 DESK = NoiseModel.from_reduced()
+
+
+def _mean_purity(y):
+    rhos = y.T.reshape(-1, 4, 4)
+    return np.einsum("sij,sji->s", rhos, rhos).real.mean()
+
+
+def rk4_reference(lmat, y0, dt, n_steps):
+    """Classic fixed-step RK4: an independent cross-check of the exact engine.
+
+    Returns the final state and the 16-state mean purity at every step.
+    """
+    y = y0.copy()
+    purity = [_mean_purity(y)]
+    for _ in range(n_steps):
+        k1 = lmat @ y
+        k2 = lmat @ (y + 0.5 * dt * k1)
+        k3 = lmat @ (y + 0.5 * dt * k2)
+        k4 = lmat @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        purity.append(_mean_purity(y))
+    return y, np.array(purity)
+
+
+def _eigen_product_states(es):
+    return np.stack([es.to_eigenbasis(rho).reshape(16) for rho in initial_product_states()],
+                    axis=1)
 
 
 class TestInitialStates:
@@ -110,10 +138,14 @@ class TestPropagation:
         trace = gate_purity(CNOT_REFINED, nm0)
         assert np.max(np.abs(trace.average - 1.0)) < 1e-9
 
-    def test_step_halving_failure_raises(self):
-        stiff = HamiltonianParams(delta1=6.0, delta2=6.0, jy=3.0, jz=3.0)
-        with pytest.raises(IntegrationError):
-            gate_purity(stiff, DESK, dt=0.02)
+    def test_propagator_check_failure_raises(self, monkeypatch):
+        # 10^4 repeated products drift from the single expm by ~1e-13 of
+        # rounding; an impossible tolerance must trip the gate.
+        import degengate.redfield as rf
+
+        monkeypatch.setattr(rf, "PROPAGATOR_TOL", 1e-300)
+        with pytest.raises(IntegrationError, match="propagator check failed"):
+            gate_purity(CNOT_REFINED, DESK, t_final=5.0)
 
     def test_trace_and_hermiticity_long_run(self):
         # Invariants over t in [0, 10 t0] for the headline construction.
@@ -257,6 +289,47 @@ class TestGatePurity:
         with pytest.raises(StateValidityError) as err:
             gate_purity(HamiltonianParams(delta1=1.0, delta2=0.9, jy=0.5), DESK)
         assert err.value.state_index is not None
+
+
+BGATE = onestep_bgate(refined=True).params
+BGATE_X4 = BGATE.replace(**{name: 4.0 * getattr(BGATE, name) for name in PARAM_NAMES})
+
+
+class TestExactEngine:
+    @pytest.mark.parametrize("params", [onestep_cnot(refined=True).params, BGATE_X4],
+                             ids=["paper-cnot", "bgate-x4"])
+    def test_gate_purity_matches_rk4(self, params):
+        trace = gate_purity(params, DESK)
+        es, _, lmat = _pipeline(params, DESK)
+        dt = trace.times[1]
+        _, ref = rk4_reference(lmat, _eigen_product_states(es), dt, len(trace.times) - 1)
+        assert np.max(np.abs(trace.average - ref)) <= 1e-9
+
+    def test_sequence_gate_purity_matches_rk4(self):
+        segments = [(build_hamiltonian(CNOT_REFINED), 0.5),
+                    (build_hamiltonian(HamiltonianParams(delta1=0.7, jx=0.4)), 0.25)]
+        trace = sequence_gate_purity(segments, DESK, steps_per_segment=300)
+        y_std = np.stack([rho.reshape(16) for rho in initial_product_states()], axis=1)
+        ref = [[_mean_purity(y_std)]]
+        for h, duration in segments:
+            es = eigensystem(h)
+            lmat = redfield_tensor(lambda_rates(es, DESK), omega=es.omega).liouvillian()
+            v = es.vectors
+            n_steps = max(300, int(np.ceil(duration / default_step(es, duration))))
+            y, purity = rk4_reference(lmat, np.kron(v.conj().T, v.T) @ y_std,
+                                      duration / n_steps, n_steps)
+            y_std = np.kron(v, v.conj()) @ y
+            ref.append(purity[1:])
+        ref = np.concatenate(ref)
+        assert ref.shape == trace.average.shape
+        assert np.max(np.abs(trace.average - ref)) <= 1e-9
+
+    def test_final_time_only_matches_full_grid(self):
+        full = gate_purity(CNOT_REFINED, DESK)
+        final = gate_purity(CNOT_REFINED, DESK, dt=1.0)
+        assert len(final.times) == 2 and final.times[-1] == full.times[-1]
+        assert final.loss() == pytest.approx(full.loss(), rel=1e-12)
+        assert final.initial_slope == full.initial_slope
 
 
 class TestSequencePurity:

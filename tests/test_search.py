@@ -17,7 +17,7 @@ from degengate import (
     relax_time_check,
     sweep,
 )
-from degengate.errors import InvalidParameterError
+from degengate.errors import InvalidParameterError, StateValidityError
 
 DESK = NoiseModel.from_reduced()
 
@@ -179,6 +179,32 @@ class TestSweep:
         nm0 = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
         res = sweep(grid, nm0, threads=2)
         assert res.argmin_cells(1e-12) == res.min_pair_gap_cells(1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_propagates(self, monkeypatch, threads):
+        import degengate.search as search_mod
+
+        def broken(params, nm):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(search_mod, "initial_purity_slope", broken)
+        with pytest.raises(TypeError):
+            sweep(fig1_grid(n=3), DESK, threads=threads)
+
+    def test_numerical_failure_marks_cell(self, monkeypatch):
+        import degengate.search as search_mod
+
+        def invalid(params, nm):
+            raise StateValidityError("trace deviates from 1", state_index=3)
+
+        monkeypatch.setattr(search_mod, "initial_purity_slope", invalid)
+        res = sweep(fig1_grid(n=3), DESK)
+        failed = np.array([str(r).startswith("error: trace deviates") for r in res.reason.flat])
+        assert failed.any()
+        closure = np.array([str(r).startswith("infeasible") for r in res.reason.flat])
+        assert np.all(failed | closure)
+        assert not res.feasible.any()
+        assert np.all(np.isnan(res.decay_rate))
 
     def test_records_roundtrip(self):
         grid = fig1_grid(n=5)
