@@ -53,21 +53,38 @@ EXIT_NUMERIC = 3
 EXIT_NONCONVERGED = 4
 
 
+#: Rows ``write_csv`` renders per string operation; bounds the text held
+#: in memory at once.
+CSV_CHUNK_ROWS = 512
+
+
 def _fmt(x):
     """17-significant-digit float formatting for CSV cells."""
     return format(float(x), ".17g")
 
 
 def write_csv(path, header, rows, failure=None):
-    """Write a CSV with LF endings and '.' decimals; floats at 17 digits."""
+    """Write a CSV with LF endings and '.' decimals; floats at 17 digits.
+
+    ``rows`` is a sequence of equal-length rows or a 2-D array. The first
+    row's cell types fix every column's format: ``%.17g`` (the text of
+    ``_fmt``) for float and numpy floating cells, ``str`` for the rest.
+    Rows are rendered CSV_CHUNK_ROWS at a time with one ``%`` each.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                _fmt(c) if isinstance(c, (float, np.floating)) else str(c)
-                for c in row
-            ]
-            fh.write(",".join(cells) + "\n")
+        if len(rows):
+            row_format = ",".join(
+                "%.17g" if isinstance(c, (float, np.floating)) else "%s"
+                for c in rows[0]
+            ) + "\n"
+            for start in range(0, len(rows), CSV_CHUNK_ROWS):
+                chunk = rows[start:start + CSV_CHUNK_ROWS]
+                if isinstance(chunk, np.ndarray):
+                    cells = tuple(chunk.ravel().tolist())
+                else:
+                    cells = tuple(c for row in chunk for c in row)
+                fh.write((row_format * len(chunk)) % cells)
         if failure is not None:
             fh.write(f"# FAILED: {failure}\n")
 
@@ -139,10 +156,7 @@ def cmd_spectrum(args):
 
 
 def _purity_rows(trace):
-    rows = []
-    for k, t in enumerate(trace.times):
-        rows.append([float(t), float(trace.average[k])] + [float(x) for x in trace.per_state[k]])
-    return rows
+    return np.column_stack([trace.times, trace.average, trace.per_state])
 
 
 _PURITY_HEADER = ["t", "P"] + [f"p{j + 1:02d}" for j in range(16)]
@@ -427,12 +441,6 @@ def build_parser():
         p.add_argument("--out", help="output directory (default: $DEGENGATE_OUT or .)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="preferred tabular output format",
-        )
         p.add_argument(
             "--timestamp",
             action="store_true",

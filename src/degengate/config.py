@@ -147,6 +147,13 @@ def validate_config(raw):
         )
     if "construction" in ham and "params" in ham:
         raise ConfigError("hamiltonian: give either 'construction' or 'params', not both")
+    time_cfg = raw.get("time", {})
+    dt = time_cfg.get("dt", 1.0)
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ConfigError(f"time.dt must be positive and finite, got {dt}")
+    t_final = time_cfg.get("t_final", 0.0)
+    if not (t_final >= 0 and np.isfinite(t_final)):
+        raise ConfigError(f"time.t_final must be non-negative and finite, got {t_final}")
     opt = raw.get("optimize", {})
     if "bounds" in opt:
         _check_param_dict(opt["bounds"], "optimize.bounds", pair=True)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from degengate.cli import main
+from degengate.cli import CSV_CHUNK_ROWS, main, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,6 +63,69 @@ class TestConfigHandling:
     def test_missing_config(self, tmp_path):
         code, _ = run(tmp_path, "spectrum")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("time_cfg", [{"dt": 0}, {"dt": -0.01}, {"t_final": -0.5}],
+                             ids=["zero-dt", "negative-dt", "negative-t_final"])
+    def test_bad_time_settings_rejected(self, tmp_path, capsys, time_cfg):
+        cfg = write_config(
+            tmp_path,
+            {"hamiltonian": {"construction": "cnot_onestep_refined"}, "time": time_cfg},
+        )
+        code, out = run(tmp_path, "purity", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert f"time.{next(iter(time_cfg))}" in capsys.readouterr().err
+        assert not os.path.exists(out / "purity_trace.csv")
+
+    def test_format_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "spectrum", "--experiment", "paper:cnot", "--format", "csv")
+        assert exc.value.code == 2
+
+
+def reference_csv(header, rows, failure=None):
+    """The per-cell renderer write_csv must match byte for byte."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            format(float(c), ".17g") if isinstance(c, (float, np.floating)) else str(c)
+            for c in row
+        ))
+    if failure is not None:
+        lines.append(f"# FAILED: {failure}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    SPECIAL = [0.1, 1.0 / 3.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 2.5e17]
+
+    def test_mixed_cells_match_reference(self, tmp_path):
+        rows = [
+            [x, np.float64(x) * 3, k, k % 2 == 0, f"cell {k}", np.float32(x)]
+            for k, x in enumerate(self.SPECIAL * 3)
+        ]
+        header = ["f", "f64", "int", "bool", "str", "f32"]
+        write_csv(tmp_path / "a.csv", header, rows)
+        assert read(tmp_path / "a.csv") == reference_csv(header, rows)
+
+    @pytest.mark.parametrize("n_rows", [1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 3])
+    def test_array_rows_across_chunks(self, tmp_path, rng, n_rows):
+        rows = rng.normal(size=(n_rows, 18)) * 10.0 ** rng.integers(-20, 20, size=(n_rows, 18))
+        rows[0, :len(self.SPECIAL)] = self.SPECIAL
+        header = [f"c{j}" for j in range(18)]
+        write_csv(tmp_path / "a.csv", header, rows)
+        assert read(tmp_path / "a.csv") == reference_csv(header, rows)
+
+    def test_list_rows_across_chunks(self, tmp_path):
+        rows = [[float(k) / 7.0, k, "x"] for k in range(CSV_CHUNK_ROWS + 5)]
+        write_csv(tmp_path / "a.csv", ["a", "b", "c"], rows)
+        assert read(tmp_path / "a.csv") == reference_csv(["a", "b", "c"], rows)
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_empty_rows_with_failure(self, tmp_path, rows):
+        write_csv(tmp_path / "a.csv", ["a", "b", "c"], rows, failure="negative eigenvalue")
+        assert read(tmp_path / "a.csv") == reference_csv(
+            ["a", "b", "c"], [], failure="negative eigenvalue"
+        )
 
 
 class TestSpectrum:

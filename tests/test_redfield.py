@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from degengate import (
     DensityMatrix,
@@ -18,7 +19,13 @@ from degengate import (
 )
 from degengate.constructions import onestep_bgate, onestep_cnot
 from degengate.errors import IntegrationError, StateValidityError
-from degengate.redfield import RELAXATION_NORMALIZATION, _pipeline, default_step
+from degengate.redfield import (
+    BLOCK,
+    RELAXATION_NORMALIZATION,
+    _evolve,
+    _pipeline,
+    default_step,
+)
 from degengate.hamiltonian import PARAM_NAMES, EigenSystem
 
 from conftest import random_params
@@ -89,6 +96,27 @@ class TestLambdaRates:
         nm = NoiseModel(alpha=0.01, temperature=0.5, cutoff=60.0, include_lamb_shift=True)
         with pytest.raises(NotImplementedError):
             lambda_rates(es, nm)
+
+
+class TestPipelineCache:
+    def test_returned_arrays_are_read_only(self):
+        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
+        for arr in (es.energies, es.vectors, tensor.tensor, tensor.omega, lmat):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_second_call_returns_pristine_values(self):
+        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
+        with pytest.raises(ValueError):
+            lmat *= 2.0
+        with pytest.raises(ValueError):
+            es.vectors[:, 0] = 0.0
+        es2, tensor2, lmat2 = _pipeline(CNOT_REFINED, DESK)
+        fresh_es = eigensystem(build_hamiltonian(CNOT_REFINED))
+        fresh = redfield_tensor(lambda_rates(fresh_es, DESK), omega=fresh_es.omega)
+        np.testing.assert_array_equal(es2.vectors, fresh_es.vectors)
+        np.testing.assert_array_equal(tensor2.tensor, fresh.tensor)
+        np.testing.assert_array_equal(lmat2, fresh.liouvillian())
 
 
 class TestRedfieldTensor:
@@ -323,6 +351,44 @@ class TestExactEngine:
         ref = np.concatenate(ref)
         assert ref.shape == trace.average.shape
         assert np.max(np.abs(trace.average - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("y_shape", [(16,), (16, 16)], ids=["vector", "states"])
+    def test_evolve_blocks_match_sequential_products(self, rng, n_steps, y_shape):
+        _, _, lmat = _pipeline(BGATE_X4, DESK)
+        y0 = rng.normal(size=y_shape) + 1j * rng.normal(size=y_shape)
+        dt = 2e-3
+        prop = expm(dt * lmat)
+        ref = [y0]
+        for _ in range(n_steps):
+            ref.append(prop @ ref[-1])
+
+        starts, blocks = [], []
+
+        def record(start, block):
+            starts.append(start)
+            blocks.append(block.copy())
+
+        y_final = _evolve(lmat, y0, dt, n_steps, record)
+        assert starts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+        history = np.concatenate(blocks)
+        assert history.shape == (n_steps + 1,) + y_shape
+        assert np.max(np.abs(history - np.array(ref))) <= 1e-12
+        np.testing.assert_array_equal(y_final, history[-1])
+
+    def test_propagate_history_matches_sequential_products(self):
+        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
+        rho0 = DensityMatrix(initial_product_states()[6])
+        n_steps = 2 * BLOCK + 3
+        traj = propagate(rho0, es, tensor, t_final=n_steps * 1e-3, dt=1e-3)
+        prop = expm(traj.times[1] * lmat)
+        y = es.to_eigenbasis(rho0.matrix).reshape(16)
+        ref = [es.to_standard(y.reshape(4, 4))]
+        for _ in range(n_steps):
+            y = prop @ y
+            ref.append(es.to_standard(y.reshape(4, 4)))
+        assert traj.matrices.shape == (n_steps + 1, 4, 4)
+        assert np.max(np.abs(traj.matrices - np.array(ref))) <= 1e-12
 
     def test_final_time_only_matches_full_grid(self):
         full = gate_purity(CNOT_REFINED, DESK)
