@@ -35,9 +35,9 @@ from .config import (
 from .constructions import protocol_comparison, target_gate
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DegengateError,
     IntegrationError,
+    InvalidParameterError,
     StateValidityError,
 )
 from .hamiltonian import build_hamiltonian, classify_degeneracy, eigensystem
@@ -284,21 +284,18 @@ def cmd_optimize(args):
     opt = cfg.get("optimize")
     if not opt or "bounds" not in opt:
         raise ConfigError("optimize needs an 'optimize' section with 'bounds'")
-    spec = SearchSpec(
-        target=cfg.get("target", "CNOT"),
-        bounds={k: tuple(v) for k, v in opt["bounds"].items()},
-        frozen={k: float(v) for k, v in opt.get("frozen", {}).items()},
-        degeneracy=opt.get("degeneracy", "none"),
-        coupling_norm=opt.get("coupling_norm"),
-        distance_weight=opt.get("distance_weight", 1.0),
-        purity_weight=opt.get("purity_weight", 0.0),
-        degeneracy_weight=opt.get("degeneracy_weight", 100.0),
-        gate_time=cfg.get("gate_time", 1.0),
-        seed=cfg.get("seed", 0),
-        restarts=opt.get("restarts", 8),
-        max_iter=opt.get("max_iter", 600),
-        distance_threshold=opt.get("distance_threshold", 1e-6),
-    )
+    # Config keys are SearchSpec field names; absent keys keep its defaults.
+    fields = {k: v for k, v in opt.items() if k not in ("bounds", "frozen")}
+    fields.update({k: cfg[k] for k in ("gate_time", "seed") if k in cfg})
+    try:
+        spec = SearchSpec(
+            target=cfg.get("target", "CNOT"),
+            bounds={k: tuple(v) for k, v in opt["bounds"].items()},
+            frozen={k: float(v) for k, v in opt.get("frozen", {}).items()},
+            **fields,
+        )
+    except InvalidParameterError as exc:
+        raise ConfigError(f"optimize: {exc}") from exc
     nm = resolve_noise(cfg)
     result = optimize(spec, nm)
     payload = {
@@ -350,14 +347,9 @@ def cmd_sensitivity(args):
     out = _outdir(args)
     params, gate_time, label = resolve_hamiltonian(cfg)
     nm = resolve_noise(cfg, t0=params.t0)
-    sens_cfg = cfg.get("sensitivity", {})
-    rep = sensitivity(
-        params,
-        nm,
-        budget=float(sens_cfg.get("budget", 1e-4)),
-        gate_time=gate_time,
-        rel_step=float(sens_cfg.get("rel_step", 2e-3)),
-    )
+    # Config keys are sensitivity() argument names; absent keys keep its defaults.
+    options = {k: float(v) for k, v in cfg.get("sensitivity", {}).items()}
+    rep = sensitivity(params, nm, gate_time=gate_time, **options)
     payload = {
         "label": label,
         "budget": rep.budget,
@@ -380,9 +372,10 @@ def cmd_sensitivity(args):
 def cmd_calibrate(args):
     cfg = _load(args)
     out = _outdir(args)
-    cal_cfg = cfg.get("calibrate")
-    if not cal_cfg:
-        raise ConfigError("calibrate needs a 'calibrate' section")
+    cal_cfg = cfg.get("calibrate") or {}
+    missing = [k for k in ("delta_ghz", "t1_inverse_ghz") if k not in cal_cfg]
+    if missing:
+        raise ConfigError(f"calibrate needs {', '.join('calibrate.' + k for k in missing)}")
     cal = calibrate(
         delta_ghz=float(cal_cfg["delta_ghz"]),
         t1_inverse_ghz=float(cal_cfg["t1_inverse_ghz"]),
@@ -440,7 +433,8 @@ def build_parser():
         p.add_argument("--experiment", help="bundled experiment name (e.g. paper:fig1)")
         p.add_argument("--out", help="output directory (default: $DEGENGATE_OUT or .)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument(
             "--timestamp",
             action="store_true",
@@ -472,9 +466,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except (StateValidityError, IntegrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -179,9 +179,9 @@ def load_config(path):
 
 def resolve_hamiltonian(cfg):
     """Resolve the config's Hamiltonian section to (params, gate_time, label)."""
-    ham = cfg.get("hamiltonian")
-    if not ham:
-        raise ConfigError("config needs a 'hamiltonian' section")
+    ham = cfg.get("hamiltonian") or {}
+    if "construction" not in ham and "params" not in ham:
+        raise ConfigError("config needs a 'hamiltonian' section with 'construction' or 'params'")
     if "construction" in ham:
         gate = CONSTRUCTIONS[ham["construction"]](ham)
         gate_time = cfg.get("gate_time", gate.duration)
@@ -208,6 +208,9 @@ def resolve_sweep_grid(cfg):
     sw = cfg.get("sweep")
     if not sw:
         return fig1_grid()
+    missing = [k for k in ("start1", "stop1", "n1", "start2", "stop2", "n2") if k not in sw]
+    if missing:
+        raise ConfigError(f"sweep needs {', '.join('sweep.' + k for k in missing)}")
     kwargs = {}
     if "fixed" in sw:
         kwargs["fixed"] = {k: float(v) for k, v in sw["fixed"].items()}
@@ -217,10 +220,13 @@ def resolve_sweep_grid(cfg):
         kwargs["coupling_norm"] = float(sw["coupling_norm"])
     if "degeneracy_tol" in sw:
         kwargs["degeneracy_tol"] = float(sw["degeneracy_tol"])
-    return SweepGrid(
-        param1=sw.get("param1", "jy"),
-        param2=sw.get("param2", "jz"),
-        values1=np.linspace(float(sw["start1"]), float(sw["stop1"]), int(sw["n1"])),
-        values2=np.linspace(float(sw["start2"]), float(sw["stop2"]), int(sw["n2"])),
-        **kwargs,
-    )
+    try:
+        return SweepGrid(
+            param1=sw.get("param1", "jy"),
+            param2=sw.get("param2", "jz"),
+            values1=np.linspace(float(sw["start1"]), float(sw["stop1"]), int(sw["n1"])),
+            values2=np.linspace(float(sw["start2"]), float(sw["stop2"]), int(sw["n2"])),
+            **kwargs,
+        )
+    except ValueError as exc:  # InvalidParameterError, or a negative count
+        raise ConfigError(f"sweep: {exc}") from exc

@@ -56,13 +56,13 @@ _BGATE = expm(
 )
 
 _TARGETS = {
-    "CNOT": (_CNOT, (0.0 + 0.0j, 3.0)),
-    "SWAP": (_SWAP, (-1.0 + 0.0j, -3.0)),
-    "SQRT_SWAP": (_SQRT_SWAP, None),
-    "B": (_BGATE, (0.0 + 0.0j, 0.0)),
-    "IDENTITY": (np.eye(4, dtype=complex), (1.0 + 0.0j, 3.0)),
-    "SQRT_CNOT": (_SQRT_CNOT, None),
-    "QFT2": (_QFT2, None),
+    "CNOT": _CNOT,
+    "SWAP": _SWAP,
+    "SQRT_SWAP": _SQRT_SWAP,
+    "B": _BGATE,
+    "IDENTITY": np.eye(4, dtype=complex),
+    "SQRT_CNOT": _SQRT_CNOT,
+    "QFT2": _QFT2,
 }
 
 
@@ -76,8 +76,7 @@ def target_gate(name):
         raise InvalidParameterError(
             f"unknown gate {name!r}; known: {', '.join(sorted(_TARGETS))}"
         )
-    matrix, invariants = _TARGETS[key]
-    return GateTarget(name=key, matrix=matrix.copy(), known_invariants=invariants)
+    return GateTarget(name=key, matrix=_TARGETS[key].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,3 @@ class StateValidityError(DegengateError, RuntimeError):
 
 class ConfigError(DegengateError, ValueError):
     """A run configuration could not be parsed or validated."""
-
-
-class ConvergenceError(DegengateError, RuntimeError):
-    """An iterative search exhausted its budget without converging."""

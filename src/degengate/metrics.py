@@ -52,11 +52,10 @@ def assert_unitary(u, tol=UNITARITY_TOL, name="matrix"):
 
 @dataclass(frozen=True)
 class GateTarget:
-    """A named target unitary, with its known invariants when standard."""
+    """A named target unitary."""
 
     name: str
     matrix: np.ndarray
-    known_invariants: tuple = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -99,9 +98,6 @@ class MakhlinInvariants:
 
     def distance(self, other):
         return float(max(abs(self.g1 - other.g1), abs(self.g2 - other.g2)))
-
-    def as_tuple(self):
-        return (self.g1, self.g2)
 
 
 def makhlin_invariants(x):

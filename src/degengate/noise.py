@@ -28,15 +28,12 @@ class NoiseModel:
 
     ``alpha`` is the dimensionless coupling (weak-coupling regime
     alpha << 1), ``temperature`` and ``cutoff`` are energies in the units
-    of the Hamiltonian matrix. ``include_lamb_shift`` is reserved; the
-    imaginary (Lamb-shift) part of the partial rates is not implemented
-    and the flag must stay off.
+    of the Hamiltonian matrix.
     """
 
     alpha: float
     temperature: float
     cutoff: float
-    include_lamb_shift: bool = False
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.alpha, self.temperature, self.cutoff])):
@@ -55,14 +52,14 @@ class NoiseModel:
             )
 
     @classmethod
-    def from_reduced(cls, alpha=0.01, temperature=0.2, cutoff=20.0, t0=1.0, **kw):
+    def from_reduced(cls, alpha=0.01, temperature=0.2, cutoff=20.0, t0=1.0):
         """Build from reduced (pi/t0) units, the units of the control values.
 
         The defaults are the package's desk-scale noise: alpha = 0.01,
         T = 0.2 and wc = 20 in units of pi/t0.
         """
         scale = np.pi / t0
-        return cls(alpha=alpha, temperature=temperature * scale, cutoff=cutoff * scale, **kw)
+        return cls(alpha=alpha, temperature=temperature * scale, cutoff=cutoff * scale)
 
 
 def spectral_function(omega, nm: NoiseModel):

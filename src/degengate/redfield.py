@@ -179,10 +179,6 @@ def lambda_rates(es: EigenSystem, nm: NoiseModel):
     equals the decoherence rates of the weak-coupling generator; complex
     eigenvector phases are carried through covariantly.
     """
-    if nm.include_lamb_shift:
-        raise NotImplementedError(
-            "Lamb shifts are not implemented; include_lamb_shift must be False"
-        )
     a1 = es.to_eigenbasis(SZ1)
     a2 = es.to_eigenbasis(SZ2)
     s_of_omega = spectral_function(es.omega, nm)
@@ -287,6 +283,13 @@ def _evolve(lmat, y0, dt, n_steps, record):
     return y
 
 
+def _check_times(t_final, dt=None):
+    if not (0.0 <= t_final < np.inf) or (dt is not None and not (0.0 < dt < np.inf)):
+        raise InvalidParameterError(
+            f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}"
+        )
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of the master equation for one initial state."""
@@ -308,8 +311,7 @@ def propagate(rho0: DensityMatrix, es: EigenSystem, tensor: RedfieldTensor,
     ``t_final`` to 1e-8 in max-norm. The trajectory is returned in the
     basis of ``rho0``.
     """
-    if dt <= 0 or t_final < 0:
-        raise InvalidParameterError("need dt > 0 and t_final >= 0")
+    _check_times(t_final, dt)
     n_steps = max(int(round(t_final / dt)), 1)
     dt = t_final / n_steps
     rho_eig = rho0.in_basis("eigen", es)
@@ -362,6 +364,19 @@ def _purities(block):
     return np.einsum("tijs,tjis->ts", rhos, rhos).real
 
 
+def _purity_slope(lmat, y):
+    """Mean over the vec(rho) columns of ``y`` of d/dt Tr rho^2 = 2 Re Tr(rho L rho)."""
+    total = 0.0
+    for rho in y.T:
+        total += 2.0 * np.einsum("ij,ji->", rho.reshape(4, 4), (lmat @ rho).reshape(4, 4)).real
+    return float(total / y.shape[1])
+
+
+def _product_vecs():
+    """The 16 product states as row-major vec(rho) columns, shape (16, 16)."""
+    return initial_product_states().reshape(16, 16).T
+
+
 def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
     """Analytic dP/dt at t = 0 for the 16-state gate purity.
 
@@ -369,13 +384,54 @@ def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
     right-hand side; no propagation or fitting involved.
     """
     es, tensor, lmat = _pipeline(params, nm)
-    states = initial_product_states()
-    total = 0.0
-    for rho in states:
-        rho_e = es.to_eigenbasis(rho)
-        drho = (lmat @ rho_e.reshape(16)).reshape(4, 4)
-        total += 2.0 * np.einsum("ij,ji->", rho_e, drho).real
-    return total / 16.0
+    v = es.vectors
+    return _purity_slope(lmat, np.kron(v.conj().T, v.T) @ _product_vecs())
+
+
+def _purity_trace(segments, nm: NoiseModel):
+    """Propagate the 16 product states through constant-generator segments.
+
+    ``segments`` lists (eigensystem, Liouvillian, duration, n_steps); each
+    segment is sampled every duration / n_steps in its own eigenbasis, and
+    the states cross segment boundaries in the standard basis. The initial
+    slope is the analytic one of the first segment. Every final state is
+    validated; a failure is re-raised with the failing state's index.
+    """
+    y = _product_vecs()
+    all_times = [np.zeros(1)]
+    all_purity = [_purities(y[None])]
+    slope = None
+    t_offset = 0.0
+    for es, lmat, duration, n_steps in segments:
+        v = es.vectors
+        y = np.kron(v.conj().T, v.T) @ y  # vec(V^dag rho V)
+        if slope is None:
+            slope = _purity_slope(lmat, y)
+        seg_purity = np.empty((n_steps + 1, 16))
+
+        def record(start, block):
+            seg_purity[start:start + len(block)] = _purities(block)
+
+        dt = duration / n_steps
+        y = np.kron(v, v.conj()) @ _evolve(lmat, y, dt, n_steps, record)
+        all_times.append(t_offset + np.arange(1, n_steps + 1) * dt)
+        all_purity.append(seg_purity[1:])
+        t_offset += duration
+
+    floor = _noise_eigen_floor(nm)
+    for j in range(16):
+        try:
+            DensityMatrix(y[:, j].reshape(4, 4)).validate(state_index=j, eigen_floor=floor)
+        except StateValidityError as exc:
+            raise StateValidityError(f"state {j}: {exc}", state_index=j) from exc
+
+    per_state = np.concatenate(all_purity)
+    return PurityTrace(
+        times=np.concatenate(all_times),
+        average=per_state.mean(axis=1),
+        per_state=per_state,
+        initial_slope=slope,
+    )
 
 
 def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None):
@@ -384,108 +440,39 @@ def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None
     Parameters default to one gate duration (t_final = t0) sampled every
     ``default_step``. Propagation is exact for any ``dt``, so a caller that
     needs only the final loss passes ``dt=t_final`` and gets a two-sample
-    trace. Per-state propagation failures are re-raised with the failing
-    state index attached.
+    trace. A negative ``t_final`` or a ``dt`` that is not positive raises
+    InvalidParameterError. Per-state propagation failures are re-raised
+    with the failing state index attached.
     """
     if t_final is None:
         t_final = params.t0
+    _check_times(t_final, dt)
     es, tensor, lmat = _pipeline(params, nm)
     if dt is None:
         dt = default_step(es, t_final, t0=params.t0)
-    n_steps = max(int(round(t_final / dt)), 1) if t_final else 1
-    dt = t_final / n_steps
-
-    states = initial_product_states()
-    y0 = np.stack(
-        [es.to_eigenbasis(rho).reshape(16) for rho in states], axis=1
-    )  # shape (16, 16): vec index x state index
-
-    per_state = np.empty((n_steps + 1, 16))
-
-    def record(start, block):
-        per_state[start:start + len(block)] = _purities(block)
-
-    y_final = _evolve(lmat, y0, dt, n_steps, record)
-
-    floor = _noise_eigen_floor(nm)
-    for j in range(16):
-        try:
-            DensityMatrix(y_final[:, j].reshape(4, 4), basis="eigen").validate(
-                state_index=j, eigen_floor=floor
-            )
-        except StateValidityError as exc:
-            raise StateValidityError(
-                f"state {j}: {exc}", state_index=j
-            ) from exc
-
-    times = np.arange(n_steps + 1) * dt
-    return PurityTrace(
-        times=times,
-        average=per_state.mean(axis=1),
-        per_state=per_state,
-        initial_slope=initial_purity_slope(params, nm),
-    )
+    n_steps = max(int(round(t_final / dt)), 1)
+    return _purity_trace([(es, lmat, t_final, n_steps)], nm)
 
 
 def sequence_gate_purity(segments, nm: NoiseModel, steps_per_segment=400):
     """Gate purity through a piecewise-constant Hamiltonian sequence.
 
     ``segments`` is a list of (hamiltonian, duration) pairs in physical
-    angular units and time units respectively. Each segment gets its own
-    eigenbasis and relaxation tensor; the 16 product states are carried
-    across segment boundaries in the standard basis. The initial slope is
-    the analytic one for the first segment's generator.
+    angular units and time units respectively; a negative duration raises
+    InvalidParameterError. Each segment gets its own eigenbasis and
+    relaxation tensor; the 16 product states are carried across segment
+    boundaries in the standard basis. The initial slope is the analytic
+    one for the first segment's generator.
     """
-    states = initial_product_states()
-    y_std = np.stack([rho.reshape(16) for rho in states], axis=1)
-
-    all_times = [np.array([0.0])]
-    all_purity = [_purities(y_std[None])]
-    t_offset = 0.0
-    slope0 = None
-
+    resolved = []
     for h, duration in segments:
+        _check_times(duration)
         es = eigensystem(h)
-        tensor = redfield_tensor(lambda_rates(es, nm), omega=es.omega)
-        lmat = tensor.liouvillian()
-        v = es.vectors
-        basis_change = np.kron(v.conj().T, v.T)  # vec(V^dag rho V)
-        basis_back = np.kron(v, v.conj())
-        y = basis_change @ y_std
-
-        if slope0 is None:
-            rhos = y.T.reshape(-1, 4, 4)
-            drhos = (lmat @ y).T.reshape(-1, 4, 4)
-            slope0 = float(np.mean(2.0 * np.einsum("sij,sji->s", rhos, drhos).real))
-
+        lmat = redfield_tensor(lambda_rates(es, nm), omega=es.omega).liouvillian()
         n_steps = max(int(steps_per_segment),
                       int(np.ceil(duration / default_step(es, duration))), 1)
-        dt = duration / n_steps
-        seg_purity = np.empty((n_steps, 16))
-        seg_times = t_offset + np.arange(1, n_steps + 1) * dt
-
-        def record(start, block, seg_purity=seg_purity):
-            if start > 0:
-                seg_purity[start - 1:start - 1 + len(block)] = _purities(block)
-
-        y_final = _evolve(lmat, y, dt, n_steps, record)
-        y_std = basis_back @ y_final
-        all_times.append(seg_times)
-        all_purity.append(seg_purity)
-        t_offset += duration
-
-    floor = _noise_eigen_floor(nm)
-    for j in range(16):
-        DensityMatrix(y_std[:, j].reshape(4, 4)).validate(state_index=j, eigen_floor=floor)
-
-    times = np.concatenate(all_times)
-    per_state = np.concatenate(all_purity, axis=0)
-    return PurityTrace(
-        times=times,
-        average=per_state.mean(axis=1),
-        per_state=per_state,
-        initial_slope=slope0,
-    )
+        resolved.append((es, lmat, duration, n_steps))
+    return _purity_trace(resolved, nm)
 
 
 @dataclass(frozen=True)

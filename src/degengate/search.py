@@ -13,7 +13,6 @@ landscape exhibits minima at the double-degeneracy points.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,6 +84,8 @@ class SearchSpec:
                 raise InvalidParameterError(f"bad bounds for {name}: ({lo}, {hi})")
         if self.degeneracy not in ("none", "single", "double"):
             raise InvalidParameterError("degeneracy must be none, single or double")
+        if self.restarts < 1 or self.max_iter < 1:
+            raise InvalidParameterError("restarts and max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,8 @@ class SweepGrid:
             raise InvalidParameterError("closure requires coupling_norm")
         self.values1 = np.asarray(self.values1, dtype=float)
         self.values2 = np.asarray(self.values2, dtype=float)
+        if self.values1.size == 0 or self.values2.size == 0:
+            raise InvalidParameterError("each grid axis needs at least one value")
 
     def cell_params(self, v1, v2):
         values = dict(self.fixed)
@@ -330,9 +333,9 @@ def _sweep_cell(grid, nm, v1, v2):
 def sweep(grid: SweepGrid, nm: NoiseModel, threads=1):
     """Evaluate |dP/dt| at t=0 and degeneracy diagnostics on every cell.
 
-    Cells are independent; with ``threads`` > 1 they are evaluated
-    concurrently but always assembled in index order, so the output is
-    identical for any thread count.
+    Cells are evaluated one after another in index order. ``threads`` is
+    accepted and has no effect: each cell is a few small numpy calls, and
+    a thread pool made the sweep slower.
     """
     n1, n2 = len(grid.values1), len(grid.values2)
     decay = np.full((n1, n2), np.nan)
@@ -343,26 +346,10 @@ def sweep(grid: SweepGrid, nm: NoiseModel, threads=1):
     feasible = np.zeros((n1, n2), dtype=bool)
     reason = np.full((n1, n2), "", dtype=object)
 
-    cells = [(i, j) for i in range(n1) for j in range(n2)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda ij: _sweep_cell(grid, nm, grid.values1[ij[0]], grid.values2[ij[1]]),
-                    cells,
-                )
-            )
-    else:
-        results = [_sweep_cell(grid, nm, grid.values1[i], grid.values2[j]) for i, j in cells]
-
-    for (i, j), (rate, cls, mg, pg, gg, ok, why) in zip(cells, results):
-        decay[i, j] = rate
-        classification[i, j] = cls
-        min_gap[i, j] = mg
-        pair_gap[i, j] = pg
-        ground_gap[i, j] = gg
-        feasible[i, j] = ok
-        reason[i, j] = why
+    for i, v1 in enumerate(grid.values1):
+        for j, v2 in enumerate(grid.values2):
+            (decay[i, j], classification[i, j], min_gap[i, j], pair_gap[i, j],
+             ground_gap[i, j], feasible[i, j], reason[i, j]) = _sweep_cell(grid, nm, v1, v2)
     return SweepResult(
         grid=grid,
         decay_rate=decay,

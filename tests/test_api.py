@@ -1,0 +1,44 @@
+"""The public names and the names the benchmark tracer wraps all resolve.
+
+A refactor that deletes or renames one of them fails here rather than
+inside a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+import degengate
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("name", degengate.__all__)
+def test_public_name_resolves(name):
+    assert getattr(degengate, name) is not None
+
+
+@pytest.mark.parametrize("label, module_name, path", tracer.TARGETS,
+                         ids=[label for label, _, _ in tracer.TARGETS])
+def test_traced_target_resolves(label, module_name, path):
+    importlib.import_module(module_name)
+    _, attr, fn = tracer._resolve(module_name, path)
+    assert attr == path.split(".")[-1]
+    assert callable(fn)
+
+
+def test_pipeline_cache_info():
+    info = degengate.redfield._pipeline.cache_info()
+    assert info.maxsize > 0

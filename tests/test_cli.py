@@ -76,6 +76,26 @@ class TestConfigHandling:
         assert f"time.{next(iter(time_cfg))}" in capsys.readouterr().err
         assert not os.path.exists(out / "purity_trace.csv")
 
+    SWEEP = {"start1": 0.5, "stop1": 1.5, "n1": 3, "start2": 0.5, "stop2": 1.5, "n2": 3}
+    MALFORMED = {
+        "calibrate-no-delta": ("calibrate", {"calibrate": {"t1_inverse_ghz": 0.001}},
+                               "calibrate.delta_ghz"),
+        "sweep-no-axis1": ("sweep", {"sweep": {"start2": 0.5, "stop2": 1.5, "n2": 3}},
+                           "sweep.start1, sweep.stop1, sweep.n1"),
+        "hamiltonian-empty": ("spectrum", {"hamiltonian": {"j": 2.0}}, "'hamiltonian'"),
+        "sweep-zero-n1": ("sweep", {"sweep": {**SWEEP, "n1": 0}}, "sweep:"),
+        "optimize-zero-restarts": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
+                                                             "restarts": 0}}, "restarts"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_section_is_config_error(self, tmp_path, capsys, case):
+        command, payload, message = self.MALFORMED[case]
+        code, _ = run(tmp_path, command, "--config", write_config(tmp_path, payload))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     def test_format_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "spectrum", "--experiment", "paper:cnot", "--format", "csv")

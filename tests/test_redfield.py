@@ -18,7 +18,7 @@ from degengate import (
     sequence_gate_purity,
 )
 from degengate.constructions import onestep_bgate, onestep_cnot
-from degengate.errors import IntegrationError, StateValidityError
+from degengate.errors import IntegrationError, InvalidParameterError, StateValidityError
 from degengate.redfield import (
     BLOCK,
     RELAXATION_NORMALIZATION,
@@ -90,12 +90,6 @@ class TestLambdaRates:
             2 * (2 * 0.01 * 0.5) / (4 * np.pi), rel=1e-12
         )
         np.testing.assert_array_equal(cold, np.zeros((4, 4, 4, 4)))
-
-    def test_lamb_shift_flag_reserved(self):
-        es = eigensystem(build_hamiltonian(CNOT_REFINED))
-        nm = NoiseModel(alpha=0.01, temperature=0.5, cutoff=60.0, include_lamb_shift=True)
-        with pytest.raises(NotImplementedError):
-            lambda_rates(es, nm)
 
 
 class TestPipelineCache:
@@ -318,6 +312,28 @@ class TestGatePurity:
             gate_purity(HamiltonianParams(delta1=1.0, delta2=0.9, jy=0.5), DESK)
         assert err.value.state_index is not None
 
+    @pytest.mark.parametrize("times", [{"dt": 0.0}, {"dt": -0.01}, {"t_final": -0.5},
+                                       {"t_final": float("nan")}],
+                             ids=["zero-dt", "negative-dt", "negative-t_final", "nan-t_final"])
+    def test_bad_time_arguments_rejected(self, times):
+        with pytest.raises(InvalidParameterError):
+            gate_purity(CNOT_REFINED, DESK, **times)
+
+    def test_slope_matches_per_state_loop(self, rng):
+        # Reference: the slope summed one state at a time from the
+        # generator's right-hand side in the eigenbasis.
+        for _ in range(20):
+            params = random_params(rng, scale=1.5)
+            es, _, lmat = _pipeline(params, DESK)
+            total = 0.0
+            for rho in initial_product_states():
+                rho_e = es.to_eigenbasis(rho)
+                drho = (lmat @ rho_e.reshape(16)).reshape(4, 4)
+                total += 2.0 * np.einsum("ij,ji->", rho_e, drho).real
+            assert initial_purity_slope(params, DESK) == pytest.approx(total / 16.0, rel=1e-12)
+            assert gate_purity(params, DESK, dt=params.t0).initial_slope == (
+                initial_purity_slope(params, DESK))
+
 
 BGATE = onestep_bgate(refined=True).params
 BGATE_X4 = BGATE.replace(**{name: 4.0 * getattr(BGATE, name) for name in PARAM_NAMES})
@@ -411,3 +427,20 @@ class TestSequencePurity:
         h = build_hamiltonian(HamiltonianParams(delta2=0.7))
         trace = sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], nm0, steps_per_segment=200)
         assert np.max(np.abs(trace.average - 1.0)) < 1e-9
+
+    def test_negative_duration_rejected(self):
+        h = build_hamiltonian(CNOT_REFINED)
+        with pytest.raises(InvalidParameterError):
+            sequence_gate_purity([(h, 0.5), (h, -0.25)], DESK)
+
+    def test_failure_carries_state_index(self, monkeypatch):
+        # No 4x4 density matrix has all eigenvalues above 1/4, so every
+        # state fails and the error names the first one.
+        import degengate.redfield as rf
+
+        monkeypatch.setattr(rf, "_noise_eigen_floor", lambda nm: 0.5)
+        h = build_hamiltonian(HamiltonianParams(delta1=1.0, delta2=0.9, jy=0.5))
+        with pytest.raises(StateValidityError) as err:
+            sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], DESK, steps_per_segment=50)
+        assert err.value.state_index == 0
+        assert str(err.value).startswith("state 0: ")

@@ -30,6 +30,10 @@ class TestOptimize:
             SearchSpec(target="CNOT", bounds={"jz": (1.0, 0.0)})
         with pytest.raises(InvalidParameterError):
             SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, frozen={"jz": 0.5})
+        with pytest.raises(InvalidParameterError):
+            SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, restarts=0)
+        with pytest.raises(InvalidParameterError):
+            SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, max_iter=0)
 
     def test_swap_recovery_heisenberg(self):
         spec = SearchSpec(
@@ -135,6 +139,12 @@ class TestOptimize:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("axis", ["values1", "values2"])
+    def test_empty_axis_rejected(self, axis):
+        values = {"values1": [0.5, 1.0], "values2": [0.5, 1.0], axis: []}
+        with pytest.raises(InvalidParameterError):
+            SweepGrid(param1="jy", param2="jz", **values)
+
     def test_zero_noise_zero_rates(self):
         grid = SweepGrid(
             param1="jy",
