@@ -13,7 +13,8 @@ Subcommands map one-to-one onto the library surface:
 Every run is reproducible from its config and seed alone; outputs are
 byte-identical across reruns and thread counts (timestamps are opt-in
 via --timestamp and confined to a metadata field). Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 non-convergence.
+2 configuration error (including any value the library rejects as out of
+range), 3 numerical failure, 4 non-convergence.
 """
 
 import argparse
@@ -32,7 +33,7 @@ from .config import (
     resolve_sweep_grid,
     validate_config,
 )
-from .constructions import protocol_comparison, target_gate
+from .constructions import comparison_noise, protocol_comparison, target_gate
 from .errors import (
     ConfigError,
     DegengateError,
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .hamiltonian import build_hamiltonian, classify_degeneracy, eigensystem
 from .metrics import makhlin_invariants, report
-from .noise import NoiseModel
 from .presets import experiment_config
 from .redfield import gate_purity
 from .search import SearchSpec, calibrate, optimize, sensitivity, sweep
@@ -166,15 +166,10 @@ def cmd_purity(args):
     cfg = _load(args)
     out = _outdir(args)
     if "comparison" in cfg:
-        comp_cfg = cfg["comparison"]
-        nm = NoiseModel.from_reduced(
-            alpha=comp_cfg.get("alpha", 0.01),
-            temperature=comp_cfg.get("temperature", 1.5),
-            cutoff=comp_cfg.get("cutoff", 20.0),
-        )
-        comp = protocol_comparison(
-            nm=nm, amplitude_bound=comp_cfg.get("amplitude_bound", None)
-        )
+        # Absent keys keep the defaults of comparison_noise and protocol_comparison.
+        noise = {k: v for k, v in cfg["comparison"].items() if k != "amplitude_bound"}
+        comp = protocol_comparison(comparison_noise(**noise),
+                                   cfg["comparison"].get("amplitude_bound"))
         write_csv(
             os.path.join(out, "comparison_onestep.csv"),
             _PURITY_HEADER,
@@ -287,15 +282,12 @@ def cmd_optimize(args):
     # Config keys are SearchSpec field names; absent keys keep its defaults.
     fields = {k: v for k, v in opt.items() if k not in ("bounds", "frozen")}
     fields.update({k: cfg[k] for k in ("gate_time", "seed") if k in cfg})
-    try:
-        spec = SearchSpec(
-            target=cfg.get("target", "CNOT"),
-            bounds={k: tuple(v) for k, v in opt["bounds"].items()},
-            frozen={k: float(v) for k, v in opt.get("frozen", {}).items()},
-            **fields,
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"optimize: {exc}") from exc
+    spec = SearchSpec(
+        target=cfg.get("target", "CNOT"),
+        bounds={k: tuple(v) for k, v in opt["bounds"].items()},
+        frozen={k: float(v) for k, v in opt.get("frozen", {}).items()},
+        **fields,
+    )
     nm = resolve_noise(cfg)
     result = optimize(spec, nm)
     payload = {
@@ -463,7 +455,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
+        # The library raises InvalidParameterError for an out-of-range
+        # input, which on the command line can only come from the config.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StateValidityError, IntegrationError) as exc:

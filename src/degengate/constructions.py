@@ -21,6 +21,7 @@ from scipy.optimize import minimize, minimize_scalar
 from .errors import InvalidParameterError
 from .hamiltonian import HamiltonianParams, build_hamiltonian
 from .metrics import GateTarget, MakhlinInvariants, makhlin_invariants
+from .noise import NoiseModel
 from .pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, SX2, SZ1, SZ2, pauli_tensor
 
 SQRT7_OVER_4 = np.sqrt(7.0) / 4.0
@@ -158,7 +159,6 @@ class OneStepGate:
     target: str
     global_phase: float = None
     expected_degeneracy: str = None
-    refined: bool = True
     gate_time: float = None
     notes: dict = field(default_factory=dict)
 
@@ -189,7 +189,6 @@ def onestep_cnot(refined=True):
         target="CNOT",
         global_phase=-np.pi / 4.0,
         expected_degeneracy="single",
-        refined=refined,
         notes={"expected_energies_reduced": (-2.25, -1.25, 1.75, 1.75)},
     )
 
@@ -278,7 +277,6 @@ def onestep_bgate(refined=True):
         params=params,
         target="B",
         expected_degeneracy="double",
-        refined=refined,
     )
 
 
@@ -381,23 +379,28 @@ DEFAULT_PROTOCOL_AMPLITUDE = 0.2
 COMPARISON_TEMPERATURE = 1.5
 
 
-def protocol_comparison(nm=None, amplitude_bound=None, steps_per_segment=300):
+def comparison_noise(**reduced):
+    """``NoiseModel.from_reduced(**reduced)``, at COMPARISON_TEMPERATURE unless given."""
+    return NoiseModel.from_reduced(**{"temperature": COMPARISON_TEMPERATURE, **reduced})
+
+
+def protocol_comparison(nm=None, amplitude_bound=None):
     """One-step CNOT vs the five-step protocol under the same noise.
 
-    Returns a dict with both purity traces, the duration ratio (one-step
-    over sequence) and the purity-loss ratio (sequence over one-step).
+    ``nm`` defaults to ``comparison_noise()``. Returns a dict with both
+    purity traces, the duration ratio (one-step over sequence) and the
+    purity-loss ratio (sequence over one-step).
     """
-    from .noise import NoiseModel
     from .redfield import gate_purity, sequence_gate_purity
 
     if nm is None:
-        nm = NoiseModel.from_reduced(alpha=0.01, temperature=COMPARISON_TEMPERATURE)
+        nm = comparison_noise()
     if amplitude_bound is None:
         amplitude_bound = DEFAULT_PROTOCOL_AMPLITUDE
     gate = onestep_cnot(refined=True)
     seq = standard_cnot_protocol(amplitude_bound)
     one = gate_purity(gate.params, nm)
-    five = sequence_gate_purity(seq.segments(), nm, steps_per_segment=steps_per_segment)
+    five = sequence_gate_purity(seq.segments(), nm)
     return {
         "onestep_trace": one,
         "fivestep_trace": five,

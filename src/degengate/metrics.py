@@ -14,7 +14,7 @@ before and after) iff their Makhlin invariants coincide:
 with m = X_B^T X_B and X_B the gate rotated to the Bell (magic) basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class GateReport:
     t0: float
     params: HamiltonianParams = None
     noise: NoiseModel = None
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self):
         out = {
@@ -164,7 +163,6 @@ class GateReport:
                 "temperature": self.noise.temperature,
                 "cutoff": self.noise.cutoff,
             }
-        out.update(self.extras)
         return out
 
 

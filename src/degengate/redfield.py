@@ -22,7 +22,10 @@ part of Lambda) are not implemented.
 
 The generator L is constant on a segment, so propagation is exact:
 on a uniform grid of spacing dt the state advances by the single matrix
-exponential P = expm(L dt). ``_evolve`` steps a block of samples at a
+exponential P = expm(L dt). Purity traces are sampled every
+t0 / DEFAULT_STEPS_PER_T0 (t0/2000) unless the caller passes a ``dt``;
+the grid does not depend on the spectrum, so a trace's cost does not
+grow with its stiffness. ``_evolve`` steps a block of samples at a
 time: it builds the powers P, P^2, ..., P^B once and advances B samples
 with one batched product, and the purity of a whole block is reduced in
 one contraction.
@@ -63,29 +66,13 @@ TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-6
 
+#: Output samples per gate duration t0 when the caller gives no dt.
 DEFAULT_STEPS_PER_T0 = 2000
 
 
 def _noise_eigen_floor(nm):
     """Transient-negativity allowance: the Redfield slip scales with alpha."""
     return -(1e-6 + 0.02 * nm.alpha)
-
-#: Upper bound on |omega_max| * dt for the default sampling interval, so
-#: that even the fastest coherent oscillation is resolved in the output.
-MAX_PHASE_PER_STEP = 6e-3
-
-
-def default_step(es: EigenSystem, t_final, t0=1.0):
-    """Default sampling interval: t0/2000, shrunk for large-gap spectra.
-
-    This only sets where the output is sampled; propagation between
-    samples is exact for any interval.
-    """
-    omega_max = float(np.max(np.abs(es.omega)))
-    dt = t0 / DEFAULT_STEPS_PER_T0
-    if omega_max > 0:
-        dt = min(dt, MAX_PHASE_PER_STEP / omega_max)
-    return dt
 
 
 @dataclass(frozen=True)
@@ -290,6 +277,12 @@ def _check_times(t_final, dt=None):
         )
 
 
+def _grid(duration, dt):
+    """(n_steps, dt) of the uniform grid nearest ``dt`` over ``duration`` (n_steps >= 1)."""
+    n_steps = max(int(round(duration / dt)), 1)
+    return n_steps, duration / n_steps
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of the master equation for one initial state."""
@@ -312,8 +305,7 @@ def propagate(rho0: DensityMatrix, es: EigenSystem, tensor: RedfieldTensor,
     basis of ``rho0``.
     """
     _check_times(t_final, dt)
-    n_steps = max(int(round(t_final / dt)), 1)
-    dt = t_final / n_steps
+    n_steps, dt = _grid(t_final, dt)
     rho_eig = rho0.in_basis("eigen", es)
     lmat = tensor.liouvillian()
     y0 = rho_eig.matrix.reshape(16)
@@ -391,8 +383,8 @@ def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
 def _purity_trace(segments, nm: NoiseModel):
     """Propagate the 16 product states through constant-generator segments.
 
-    ``segments`` lists (eigensystem, Liouvillian, duration, n_steps); each
-    segment is sampled every duration / n_steps in its own eigenbasis, and
+    ``segments`` lists (eigensystem, Liouvillian, duration, dt); each
+    segment is sampled on the ``_grid`` nearest dt in its own eigenbasis, and
     the states cross segment boundaries in the standard basis. The initial
     slope is the analytic one of the first segment. Every final state is
     validated; a failure is re-raised with the failing state's index.
@@ -402,7 +394,8 @@ def _purity_trace(segments, nm: NoiseModel):
     all_purity = [_purities(y[None])]
     slope = None
     t_offset = 0.0
-    for es, lmat, duration, n_steps in segments:
+    for es, lmat, duration, dt in segments:
+        n_steps, dt = _grid(duration, dt)
         v = es.vectors
         y = np.kron(v.conj().T, v.T) @ y  # vec(V^dag rho V)
         if slope is None:
@@ -412,7 +405,6 @@ def _purity_trace(segments, nm: NoiseModel):
         def record(start, block):
             seg_purity[start:start + len(block)] = _purities(block)
 
-        dt = duration / n_steps
         y = np.kron(v, v.conj()) @ _evolve(lmat, y, dt, n_steps, record)
         all_times.append(t_offset + np.arange(1, n_steps + 1) * dt)
         all_purity.append(seg_purity[1:])
@@ -438,40 +430,40 @@ def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None
     """Propagate all 16 product states and average their purity.
 
     Parameters default to one gate duration (t_final = t0) sampled every
-    ``default_step``. Propagation is exact for any ``dt``, so a caller that
-    needs only the final loss passes ``dt=t_final`` and gets a two-sample
-    trace. A negative ``t_final`` or a ``dt`` that is not positive raises
-    InvalidParameterError. Per-state propagation failures are re-raised
-    with the failing state index attached.
+    t0 / DEFAULT_STEPS_PER_T0, whatever the spectrum; pass a smaller ``dt``
+    to resolve faster oscillations. Propagation is exact for any ``dt``, so
+    a caller that needs only the final loss passes ``dt=t_final`` and gets
+    a two-sample trace. A negative ``t_final`` or a ``dt`` that is not
+    positive raises InvalidParameterError. Per-state propagation failures
+    are re-raised with the failing state index attached.
     """
     if t_final is None:
         t_final = params.t0
     _check_times(t_final, dt)
     es, tensor, lmat = _pipeline(params, nm)
     if dt is None:
-        dt = default_step(es, t_final, t0=params.t0)
-    n_steps = max(int(round(t_final / dt)), 1)
-    return _purity_trace([(es, lmat, t_final, n_steps)], nm)
+        dt = params.t0 / DEFAULT_STEPS_PER_T0
+    return _purity_trace([(es, lmat, t_final, dt)], nm)
 
 
-def sequence_gate_purity(segments, nm: NoiseModel, steps_per_segment=400):
+def sequence_gate_purity(segments, nm: NoiseModel):
     """Gate purity through a piecewise-constant Hamiltonian sequence.
 
     ``segments`` is a list of (hamiltonian, duration) pairs in physical
-    angular units and time units respectively; a negative duration raises
-    InvalidParameterError. Each segment gets its own eigenbasis and
-    relaxation tensor; the 16 product states are carried across segment
-    boundaries in the standard basis. The initial slope is the analytic
-    one for the first segment's generator.
+    angular units and time units (t0 = 1) respectively; a negative
+    duration raises InvalidParameterError. Each segment is sampled every
+    1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least one
+    step), and gets its own eigenbasis and relaxation tensor; the 16
+    product states are carried across segment boundaries in the standard
+    basis. The initial slope is the analytic one for the first segment's
+    generator.
     """
     resolved = []
     for h, duration in segments:
         _check_times(duration)
         es = eigensystem(h)
         lmat = redfield_tensor(lambda_rates(es, nm), omega=es.omega).liouvillian()
-        n_steps = max(int(steps_per_segment),
-                      int(np.ceil(duration / default_step(es, duration))), 1)
-        resolved.append((es, lmat, duration, n_steps))
+        resolved.append((es, lmat, duration, 1.0 / DEFAULT_STEPS_PER_T0))
     return _purity_trace(resolved, nm)
 
 
@@ -509,9 +501,7 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
 
     rate_guess = spectral_function(2.0 * delta, nm) / np.pi
     t_final = 0.25 / rate_guess
-    dt = min(t_final / fit_points, 0.2 / (2.0 * delta))
-    n_steps = max(int(round(t_final / dt)), fit_points)
-    dt = t_final / n_steps
+    n_steps, dt = _grid(t_final, min(t_final / fit_points, 0.2 / (2.0 * delta)))
 
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     up = np.array([1.0, 0.0])

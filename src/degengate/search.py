@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import DegengateError, InvalidParameterError
 from .hamiltonian import (
@@ -153,6 +152,8 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
         if purity_weight > 0.0 and nm.alpha > 0.0:
             value += purity_weight * abs(initial_purity_slope(p, nm)) * spec.gate_time
         return value
+
+    from scipy.stats import qmc  # 0.7 s to import; only the Sobol starts need it
 
     sampler = qmc.Sobol(d=len(names), scramble=True, seed=spec.seed)
     n_draw = 1 << max(int(np.ceil(np.log2(max(spec.restarts, 1)))), 0)
@@ -470,8 +471,13 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     the point as non-optimal. Without a target the error is measured
     against the gate the point itself realizes, which is the right notion
     for equivalence-class constructions; that reference is stationary by
-    construction, so no optimality check is possible in this mode.
+    construction, so no optimality check is possible in this mode. A
+    ``rel_step`` that is not positive and finite, or a ``budget`` that is
+    negative or not finite, raises InvalidParameterError.
     """
+    if not (0.0 < rel_step < np.inf and 0.0 <= budget < np.inf):
+        raise InvalidParameterError(f"need finite rel_step > 0 and budget >= 0, "
+                                    f"got {rel_step}, {budget}")
     if gate_time is None:
         gate_time = params.t0
     if target is None:

@@ -7,6 +7,8 @@ inside a traced benchmark run.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +44,14 @@ def test_traced_target_resolves(label, module_name, path):
 def test_pipeline_cache_info():
     info = degengate.redfield._pipeline.cache_info()
     assert info.maxsize > 0
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.7 s to import; only optimize's Sobol starts use it.
+    code = "import sys, degengate; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(degengate.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -86,6 +86,17 @@ class TestConfigHandling:
         "sweep-zero-n1": ("sweep", {"sweep": {**SWEEP, "n1": 0}}, "sweep:"),
         "optimize-zero-restarts": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
                                                              "restarts": 0}}, "restarts"),
+        "calibrate-zero-delta": ("calibrate", {"calibrate": {"delta_ghz": 0,
+                                                             "t1_inverse_ghz": 0.001}},
+                                 "delta_ghz must be positive"),
+        "sensitivity-zero-rel-step": ("sensitivity",
+                                      {"hamiltonian": {"construction": "cnot_onestep_refined"},
+                                       "sensitivity": {"rel_step": 0}}, "rel_step"),
+        "calibrate-j-below-delta": ("calibrate", {"calibrate": {"delta_ghz": 10.0, "j_ghz": 5.0,
+                                                                "t1_inverse_ghz": 0.1}},
+                                    "J >= Delta"),
+        "comparison-zero-amplitude": ("purity", {"comparison": {"amplitude_bound": 0}},
+                                      "amplitude bound"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -247,6 +258,18 @@ class TestPurity:
             data["P"], np.mean([data[f"p{j + 1:02d}"] for j in range(16)], axis=0),
             atol=1e-12,
         )
+
+
+    def test_comparison_keeps_library_noise_defaults(self, tmp_path):
+        from degengate import protocol_comparison
+
+        cfg = write_config(tmp_path, {"comparison": {"amplitude_bound": 2.0}})
+        code, out = run(tmp_path, "purity", "--config", cfg)
+        assert code == EXIT_OK
+        summary = json.loads(read(out / "comparison_summary.json"))
+        comp = protocol_comparison(amplitude_bound=2.0)
+        assert summary["onestep_loss"] == comp["onestep_loss"]
+        assert summary["fivestep_loss"] == comp["fivestep_loss"]
 
 
 class TestByteReproducibility:

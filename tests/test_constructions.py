@@ -157,7 +157,7 @@ class TestFiveStepProtocol:
             standard_cnot_protocol(0.0)
 
     def test_comparison_ratios(self):
-        comp = protocol_comparison(steps_per_segment=150)
+        comp = protocol_comparison()
         assert 0.10 <= comp["duration_ratio"] <= 0.25
         assert 5.0 <= comp["loss_ratio"] <= 20.0
 

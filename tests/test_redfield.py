@@ -22,9 +22,9 @@ from degengate.errors import IntegrationError, InvalidParameterError, StateValid
 from degengate.redfield import (
     BLOCK,
     RELAXATION_NORMALIZATION,
+    DEFAULT_STEPS_PER_T0,
     _evolve,
     _pipeline,
-    default_step,
 )
 from degengate.hamiltonian import PARAM_NAMES, EigenSystem
 
@@ -40,19 +40,22 @@ def _mean_purity(y):
     return np.einsum("sij,sji->s", rhos, rhos).real.mean()
 
 
-def rk4_reference(lmat, y0, dt, n_steps):
+def rk4_reference(lmat, y0, dt, n_steps, substeps=1):
     """Classic fixed-step RK4: an independent cross-check of the exact engine.
 
-    Returns the final state and the 16-state mean purity at every step.
+    Takes ``substeps`` RK4 steps of dt / substeps per sample. Returns the
+    final state and the 16-state mean purity at every sample.
     """
     y = y0.copy()
     purity = [_mean_purity(y)]
+    h = dt / substeps
     for _ in range(n_steps):
-        k1 = lmat @ y
-        k2 = lmat @ (y + 0.5 * dt * k1)
-        k3 = lmat @ (y + 0.5 * dt * k2)
-        k4 = lmat @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for _ in range(substeps):
+            k1 = lmat @ y
+            k2 = lmat @ (y + 0.5 * h * k1)
+            k3 = lmat @ (y + 0.5 * h * k2)
+            k4 = lmat @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         purity.append(_mean_purity(y))
     return y, np.array(purity)
 
@@ -346,20 +349,29 @@ class TestExactEngine:
         trace = gate_purity(params, DESK)
         es, _, lmat = _pipeline(params, DESK)
         dt = trace.times[1]
-        _, ref = rk4_reference(lmat, _eigen_product_states(es), dt, len(trace.times) - 1)
+        # Four RK4 substeps per t0/2000 sample keep the reference's own error
+        # (4.6e-9 with one step at four times the B-gate controls) far below the bound.
+        _, ref = rk4_reference(lmat, _eigen_product_states(es), dt, len(trace.times) - 1,
+                               substeps=4)
         assert np.max(np.abs(trace.average - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("params", [BGATE, BGATE_X4], ids=["bgate", "bgate-x4"])
+    def test_default_grid_ignores_stiffness(self, params):
+        trace = gate_purity(params, DESK)
+        assert len(trace.times) == DEFAULT_STEPS_PER_T0 + 1
+        assert trace.times[1] == params.t0 / DEFAULT_STEPS_PER_T0
 
     def test_sequence_gate_purity_matches_rk4(self):
         segments = [(build_hamiltonian(CNOT_REFINED), 0.5),
                     (build_hamiltonian(HamiltonianParams(delta1=0.7, jx=0.4)), 0.25)]
-        trace = sequence_gate_purity(segments, DESK, steps_per_segment=300)
+        trace = sequence_gate_purity(segments, DESK)
         y_std = np.stack([rho.reshape(16) for rho in initial_product_states()], axis=1)
         ref = [[_mean_purity(y_std)]]
         for h, duration in segments:
             es = eigensystem(h)
             lmat = redfield_tensor(lambda_rates(es, DESK), omega=es.omega).liouvillian()
             v = es.vectors
-            n_steps = max(300, int(np.ceil(duration / default_step(es, duration))))
+            n_steps = max(round(duration * DEFAULT_STEPS_PER_T0), 1)
             y, purity = rk4_reference(lmat, np.kron(v.conj().T, v.T) @ y_std,
                                       duration / n_steps, n_steps)
             y_std = np.kron(v, v.conj()) @ y
@@ -417,7 +429,7 @@ class TestExactEngine:
 class TestSequencePurity:
     def test_single_segment_matches_gate_purity(self):
         h = build_hamiltonian(CNOT_REFINED)
-        seq_trace = sequence_gate_purity([(h, 1.0)], DESK, steps_per_segment=2000)
+        seq_trace = sequence_gate_purity([(h, 1.0)], DESK)
         ref = gate_purity(CNOT_REFINED, DESK)
         assert seq_trace.loss() == pytest.approx(ref.loss(), rel=1e-6, abs=1e-10)
         assert seq_trace.initial_slope == pytest.approx(ref.initial_slope, rel=1e-9)
@@ -425,7 +437,7 @@ class TestSequencePurity:
     def test_zero_noise_stays_pure(self):
         nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
         h = build_hamiltonian(HamiltonianParams(delta2=0.7))
-        trace = sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], nm0, steps_per_segment=200)
+        trace = sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], nm0)
         assert np.max(np.abs(trace.average - 1.0)) < 1e-9
 
     def test_negative_duration_rejected(self):
@@ -441,6 +453,6 @@ class TestSequencePurity:
         monkeypatch.setattr(rf, "_noise_eigen_floor", lambda nm: 0.5)
         h = build_hamiltonian(HamiltonianParams(delta1=1.0, delta2=0.9, jy=0.5))
         with pytest.raises(StateValidityError) as err:
-            sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], DESK, steps_per_segment=50)
+            sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], DESK)
         assert err.value.state_index == 0
         assert str(err.value).startswith("state 0: ")

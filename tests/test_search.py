@@ -241,6 +241,14 @@ class TestSensitivity:
             quad = rep.quadratic[name] * radius**2
             assert lin < 1e-3 * quad
 
+    @pytest.mark.parametrize("options", [
+        {"rel_step": 0.0}, {"rel_step": -2e-3}, {"rel_step": np.nan}, {"rel_step": np.inf},
+        {"budget": -1e-4}, {"budget": np.nan}, {"budget": np.inf},
+    ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_bad_step_or_budget_rejected(self, options):
+        with pytest.raises(InvalidParameterError):
+            sensitivity(onestep_cnot().params, DESK, **options)
+
     def test_zero_budget_zero_radius(self):
         nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
         rep = sensitivity(onestep_cnot().params, nm0, budget=0.0)
