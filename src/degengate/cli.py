@@ -44,7 +44,7 @@ from .errors import (
 from .hamiltonian import build_hamiltonian, classify_degeneracy, eigensystem
 from .metrics import makhlin_invariants, report
 from .presets import experiment_config
-from .redfield import gate_purity
+from .redfield import RELAXATION_NORMALIZATION, gate_purity
 from .search import SearchSpec, calibrate, optimize, sensitivity, sweep
 
 EXIT_OK = 0
@@ -228,7 +228,7 @@ def cmd_sweep(args):
     out = _outdir(args)
     grid = resolve_sweep_grid(cfg)
     nm = resolve_noise(cfg)
-    result = sweep(grid, nm, threads=args.threads)
+    result = sweep(grid, nm)
     header = [
         grid.param1,
         grid.param2,
@@ -256,19 +256,21 @@ def cmd_sweep(args):
     ]
     write_csv(os.path.join(out, "sweep.csv"), header, rows)
     argmin = sorted(result.argmin_cells(1e-12))
+    feasible_rates = result.decay_rate[result.feasible]
+    min_rate = float(feasible_rates.min()) if feasible_rates.size else None
     payload = {
         "argmin_cells": [[int(i), int(j)] for i, j in argmin],
         "argmin_points": [
             [float(grid.values1[i]), float(grid.values2[j])] for i, j in argmin
         ],
-        "min_rate": float(np.nanmin(np.where(result.feasible, result.decay_rate, np.nan))),
-        "feasible_cells": int(result.feasible.sum()),
+        "min_rate": min_rate,
+        "feasible_cells": int(feasible_rates.size),
         "meta": _metadata(cfg, args),
     }
     write_json(os.path.join(out, "sweep_summary.json"), payload)
     print(
-        f"sweep done: {payload['feasible_cells']} feasible cells, "
-        f"min |dP/dt| = {payload['min_rate']:.6g} at {payload['argmin_points']}"
+        f"sweep done: {payload['feasible_cells']} feasible cells, min |dP/dt| = "
+        f"{'none' if min_rate is None else format(min_rate, '.6g')} at {payload['argmin_points']}"
     )
     return EXIT_OK
 
@@ -371,7 +373,6 @@ def cmd_calibrate(args):
     cal = calibrate(
         delta_ghz=float(cal_cfg["delta_ghz"]),
         t1_inverse_ghz=float(cal_cfg["t1_inverse_ghz"]),
-        j_ghz=cal_cfg.get("j_ghz"),
         temperature_kelvin=cal_cfg.get("temperature_kelvin"),
     )
     # Loss estimates for the two published one-step constructions at the
@@ -381,7 +382,7 @@ def cmd_calibrate(args):
     b_gate = onestep_bgate(refined=True)
     t_b = b_gate.params.t0
     loss_b = gate_purity(b_gate.params, cal.noise, t_final=t_b, dt=t_b).loss()
-    ratio = (cal_cfg.get("j_ghz") or 20.0) / float(cal_cfg["delta_ghz"])
+    ratio = cal_cfg.get("j_ghz", 20.0) / float(cal_cfg["delta_ghz"])
     class_gate = cnot_class_pulse(ratio, 1.0)
     t_cnot = class_gate.params.t0
     loss_cnot = gate_purity(class_gate.params, cal.noise, t_final=t_cnot, dt=t_cnot).loss()
@@ -395,7 +396,7 @@ def cmd_calibrate(args):
             "temperature": cal.noise.temperature / np.pi,
             "cutoff": cal.noise.cutoff / np.pi,
         },
-        "pinned_normalization": cal.details["pinned_normalization"],
+        "pinned_normalization": RELAXATION_NORMALIZATION,
         "purity_loss_bgate": loss_b,
         "purity_loss_cnot_class": loss_cnot,
         "meta": _metadata(cfg, args),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import InvalidParameterError
 from .hamiltonian import HamiltonianParams, build_hamiltonian
@@ -205,6 +204,8 @@ def find_class_time_scale(params: HamiltonianParams, target: GateTarget,
     One-dimensional scan over s followed by local refinement of the
     Makhlin-invariant gap. Returns (s, gap at s).
     """
+    from scipy.optimize import minimize_scalar  # about 0.3 s to import
+
     h = build_hamiltonian(params) * params.t0
     target_inv = makhlin_invariants(target)
     scales = np.linspace(scale_max / samples, scale_max, samples)
@@ -280,12 +281,14 @@ def onestep_bgate(refined=True):
     )
 
 
-def refine_bgate(start=None, invariant_tol=1e-10):
+def refine_bgate(start=None):
     """Polish (Jy, time scale) so the invariants hit (0, 0) exactly.
 
     Keeps the double degeneracy exact by tying Jz = Delta^2/Jy throughout.
     Returns (OneStepGate, invariant gap achieved).
     """
+    from scipy.optimize import minimize  # about 0.3 s to import
+
     if start is None:
         start = onestep_bgate(refined=True)
     target_inv = makhlin_invariants(target_gate("B"))

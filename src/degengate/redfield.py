@@ -20,6 +20,12 @@ generator preserves trace and Hermiticity identically for any Lambda,
 which the tests require at the 1e-10 level. Lamb shifts (the imaginary
 part of Lambda) are not implemented.
 
+The master equation is written in the eigenbasis, but its generator is
+rotated once into the standard basis (``_generator``),
+L_std = kron(V, V*) L_eig kron(V^dag, V^T) on row-major vec(rho). Every
+state the module propagates, validates or returns is in the standard
+basis; no state is moved between bases.
+
 The generator L is constant on a segment, so propagation is exact:
 on a uniform grid of spacing dt the state advances by the single matrix
 exponential P = expm(L dt). Purity traces are sampled every
@@ -77,24 +83,21 @@ def _noise_eigen_floor(nm):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A 4x4 density matrix tagged with the basis it is expressed in."""
+    """A 4x4 density matrix in the standard basis."""
 
     matrix: np.ndarray
-    basis: str = "standard"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidParameterError("density matrix must be 4x4")
         object.__setattr__(self, "matrix", m)
-        if self.basis not in ("standard", "eigen"):
-            raise InvalidParameterError("basis must be 'standard' or 'eigen'")
 
     @classmethod
-    def from_ket(cls, ket, basis="standard"):
+    def from_ket(cls, ket):
         ket = np.asarray(ket, dtype=complex)
         ket = ket / np.linalg.norm(ket)
-        return cls(np.outer(ket, ket.conj()), basis=basis)
+        return cls(np.outer(ket, ket.conj()))
 
     def validate(self, state_index=None, eigen_floor=EIGENVALUE_FLOOR):
         """Check Hermiticity, unit trace and near-positivity.
@@ -120,14 +123,6 @@ class DensityMatrix:
 
     def purity(self):
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
-    def in_basis(self, basis, es: EigenSystem):
-        """Convert between the standard and eigenbasis representations."""
-        if basis == self.basis:
-            return self
-        if basis == "eigen":
-            return DensityMatrix(es.to_eigenbasis(self.matrix), basis="eigen")
-        return DensityMatrix(es.to_standard(self.matrix), basis="standard")
 
 
 def single_qubit_kets():
@@ -207,15 +202,31 @@ def redfield_tensor(lam, omega=None):
     return RedfieldTensor(tensor=r, omega=np.asarray(omega, dtype=float))
 
 
+def _standard_liouvillian(es: EigenSystem, tensor: RedfieldTensor):
+    """The eigenbasis generator of ``tensor`` rotated to the standard basis.
+
+    On row-major vec(rho), vec(V rho V^dag) = K vec(rho) with K = kron(V, V*),
+    so L_std = K L_eig K^dag (K^dag = kron(V^dag, V^T)).
+    """
+    v = es.vectors
+    k = np.kron(v, v.conj())
+    return k @ tensor.liouvillian() @ k.conj().T
+
+
+def _generator(h, nm: NoiseModel):
+    """(eigensystem, RedfieldTensor, standard-basis Liouvillian) of Hamiltonian ``h``."""
+    es = eigensystem(h)
+    tensor = redfield_tensor(lambda_rates(es, nm), omega=es.omega)
+    return es, tensor, _standard_liouvillian(es, tensor)
+
+
 @lru_cache(maxsize=256)
 def _pipeline(params: HamiltonianParams, nm: NoiseModel):
-    """Cached (eigensystem, RedfieldTensor, Liouvillian) for a configuration.
+    """Cached ``_generator`` output for a configuration.
 
     Every caller shares the returned arrays, so they are read-only.
     """
-    es = eigensystem(build_hamiltonian(params))
-    tensor = redfield_tensor(lambda_rates(es, nm), omega=es.omega)
-    lmat = tensor.liouvillian()
+    es, tensor, lmat = _generator(build_hamiltonian(params), nm)
     for arr in (es.energies, es.vectors, tensor.tensor, tensor.omega, lmat):
         arr.flags.writeable = False
     return es, tensor, lmat
@@ -289,39 +300,32 @@ class Trajectory:
 
     times: np.ndarray
     matrices: np.ndarray
-    basis: str
 
     def final(self):
-        return DensityMatrix(self.matrices[-1], basis=self.basis)
+        return DensityMatrix(self.matrices[-1])
 
 
 def propagate(rho0: DensityMatrix, es: EigenSystem, tensor: RedfieldTensor,
               t_final, dt, validate=True, eigen_floor=EIGENVALUE_FLOOR):
     """Propagate the master equation for one state, sampled on a fixed grid.
 
-    Exact propagation in the eigenbasis (see ``_evolve``), sampled every
-    ``dt``; the repeated propagator must agree with a single expm over
-    ``t_final`` to 1e-8 in max-norm. The trajectory is returned in the
-    basis of ``rho0``.
+    ``tensor`` is built in the eigenbasis of ``es``; its generator is
+    rotated once to the standard basis, and the state is propagated
+    exactly there (see ``_evolve``), sampled every ``dt``. The repeated
+    propagator must agree with a single expm over ``t_final`` to 1e-8 in
+    max-norm. The trajectory's matrices are in the standard basis.
     """
     _check_times(t_final, dt)
     n_steps, dt = _grid(t_final, dt)
-    rho_eig = rho0.in_basis("eigen", es)
-    lmat = tensor.liouvillian()
-    y0 = rho_eig.matrix.reshape(16)
-
     history = np.empty((n_steps + 1, 16), dtype=complex)
 
     def record(start, block):
         history[start:start + len(block)] = block
 
-    _evolve(lmat, y0, dt, n_steps, record)
+    _evolve(_standard_liouvillian(es, tensor), rho0.matrix.reshape(16), dt, n_steps, record)
 
-    matrices = history.reshape(n_steps + 1, 4, 4)
-    if rho0.basis == "standard":
-        matrices = np.einsum("ij,tjk,lk->til", es.vectors, matrices, es.vectors.conj())
     times = np.arange(n_steps + 1) * dt
-    traj = Trajectory(times=times, matrices=matrices, basis=rho0.basis)
+    traj = Trajectory(times=times, matrices=history.reshape(n_steps + 1, 4, 4))
     if validate:
         traj.final().validate(eigen_floor=eigen_floor)
     return traj
@@ -375,29 +379,26 @@ def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
     Computed as (1/16) sum_j 2 Re Tr(rho_j drho_j/dt) from the generator's
     right-hand side; no propagation or fitting involved.
     """
-    es, tensor, lmat = _pipeline(params, nm)
-    v = es.vectors
-    return _purity_slope(lmat, np.kron(v.conj().T, v.T) @ _product_vecs())
+    _, _, lmat = _pipeline(params, nm)
+    return _purity_slope(lmat, _product_vecs())
 
 
 def _purity_trace(segments, nm: NoiseModel):
     """Propagate the 16 product states through constant-generator segments.
 
-    ``segments`` lists (eigensystem, Liouvillian, duration, dt); each
-    segment is sampled on the ``_grid`` nearest dt in its own eigenbasis, and
-    the states cross segment boundaries in the standard basis. The initial
-    slope is the analytic one of the first segment. Every final state is
-    validated; a failure is re-raised with the failing state's index.
+    ``segments`` lists (standard-basis Liouvillian, duration, dt); each
+    segment is sampled on the ``_grid`` nearest dt, and the states stay in
+    the standard basis throughout. The initial slope is the analytic one
+    of the first segment. Every final state is validated; a failure is
+    re-raised with the failing state's index.
     """
     y = _product_vecs()
     all_times = [np.zeros(1)]
     all_purity = [_purities(y[None])]
     slope = None
     t_offset = 0.0
-    for es, lmat, duration, dt in segments:
+    for lmat, duration, dt in segments:
         n_steps, dt = _grid(duration, dt)
-        v = es.vectors
-        y = np.kron(v.conj().T, v.T) @ y  # vec(V^dag rho V)
         if slope is None:
             slope = _purity_slope(lmat, y)
         seg_purity = np.empty((n_steps + 1, 16))
@@ -405,7 +406,7 @@ def _purity_trace(segments, nm: NoiseModel):
         def record(start, block):
             seg_purity[start:start + len(block)] = _purities(block)
 
-        y = np.kron(v, v.conj()) @ _evolve(lmat, y, dt, n_steps, record)
+        y = _evolve(lmat, y, dt, n_steps, record)
         all_times.append(t_offset + np.arange(1, n_steps + 1) * dt)
         all_purity.append(seg_purity[1:])
         t_offset += duration
@@ -440,10 +441,10 @@ def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None
     if t_final is None:
         t_final = params.t0
     _check_times(t_final, dt)
-    es, tensor, lmat = _pipeline(params, nm)
+    _, _, lmat = _pipeline(params, nm)
     if dt is None:
         dt = params.t0 / DEFAULT_STEPS_PER_T0
-    return _purity_trace([(es, lmat, t_final, dt)], nm)
+    return _purity_trace([(lmat, t_final, dt)], nm)
 
 
 def sequence_gate_purity(segments, nm: NoiseModel):
@@ -453,17 +454,15 @@ def sequence_gate_purity(segments, nm: NoiseModel):
     angular units and time units (t0 = 1) respectively; a negative
     duration raises InvalidParameterError. Each segment is sampled every
     1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least one
-    step), and gets its own eigenbasis and relaxation tensor; the 16
-    product states are carried across segment boundaries in the standard
-    basis. The initial slope is the analytic one for the first segment's
-    generator.
+    step). Each segment's master equation is written in its own eigenbasis
+    and its generator rotated once to the standard basis (``_generator``),
+    where the 16 product states are propagated. The initial slope is the
+    analytic one for the first segment's generator.
     """
     resolved = []
     for h, duration in segments:
         _check_times(duration)
-        es = eigensystem(h)
-        lmat = redfield_tensor(lambda_rates(es, nm), omega=es.omega).liouvillian()
-        resolved.append((es, lmat, duration, 1.0 / DEFAULT_STEPS_PER_T0))
+        resolved.append((_generator(h, nm)[2], duration, 1.0 / DEFAULT_STEPS_PER_T0))
     return _purity_trace(resolved, nm)
 
 
@@ -487,8 +486,9 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
     ``delta`` is the qubit's sigma_x coefficient in the same angular units
     as the noise model. The excited-state population decays toward 1/2
     (the generator has no detailed balance); the decay constant is fitted
-    log-linearly. The returned ratio fitted/analytic is the normalization
-    constant RELAXATION_NORMALIZATION (= 4/pi^2 as T -> 0), because the
+    log-linearly to fit_points + 1 equally spaced samples. The returned
+    ratio fitted/analytic is the normalization constant
+    RELAXATION_NORMALIZATION (= 4/pi^2 as T -> 0), because the
     generator's exact rate is S(2 Delta)/pi.
     """
     if delta <= 0:
@@ -497,30 +497,25 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
         return RelaxationCheck(fitted_rate=0.0, analytic_rate=0.0)
 
     params = HamiltonianParams(delta1=delta / np.pi, t0=1.0)
-    es, tensor, lmat = _pipeline(params, nm)
+    _, _, lmat = _pipeline(params, nm)
 
     rate_guess = spectral_function(2.0 * delta, nm) / np.pi
     t_final = 0.25 / rate_guess
-    n_steps, dt = _grid(t_final, min(t_final / fit_points, 0.2 / (2.0 * delta)))
+    n_steps, dt = _grid(t_final, t_final / fit_points)
 
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     up = np.array([1.0, 0.0])
     rho0 = DensityMatrix.from_ket(np.kron(plus, up))
-    proj = np.kron(np.outer(plus, plus), np.eye(2)).astype(complex)
-    proj_eig = es.to_eigenbasis(proj)
-
-    y0 = es.to_eigenbasis(rho0.matrix).reshape(16)
-    sample_every = max(n_steps // fit_points, 1)
-    n_samples = n_steps // sample_every
-    pop = np.empty(n_samples + 1)
+    proj = np.kron(np.outer(plus, plus), np.eye(2))
+    pop = np.empty(n_steps + 1)
 
     def record(start, block):
         rhos = block.reshape(-1, 4, 4)
-        pop[start:start + len(block)] = np.einsum("ij,tji->t", proj_eig, rhos).real
+        pop[start:start + len(block)] = np.einsum("ij,tji->t", proj, rhos).real
 
-    _evolve(lmat, y0, sample_every * dt, n_samples, record)
+    _evolve(lmat, rho0.matrix.reshape(16), dt, n_steps, record)
 
-    t = np.arange(n_samples + 1) * sample_every * dt
+    t = np.arange(n_steps + 1) * dt
     excess = pop - 0.5
     if np.any(excess <= 0):
         raise StateValidityError("excited population crossed the stationary value")

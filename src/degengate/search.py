@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .errors import DegengateError, InvalidParameterError
 from .hamiltonian import (
@@ -28,12 +27,8 @@ from .hamiltonian import (
     eigensystem,
 )
 from .metrics import GateReport, GateTarget, makhlin_invariants, report
-from .noise import NoiseModel, spectral_function
-from .redfield import (
-    RELAXATION_NORMALIZATION,
-    gate_purity,
-    initial_purity_slope,
-)
+from .noise import NoiseModel
+from .redfield import gate_purity, initial_purity_slope
 
 
 def _degeneracy_violation(energies, constraint):
@@ -73,6 +68,8 @@ class SearchSpec:
     distance_threshold: float = 1e-6
 
     def __post_init__(self):
+        if not self.bounds:
+            raise InvalidParameterError("bounds must name at least one free control")
         for name in list(self.bounds) + list(self.frozen):
             if name not in PARAM_NAMES:
                 raise InvalidParameterError(f"unknown control {name!r}")
@@ -153,7 +150,9 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
             value += purity_weight * abs(initial_purity_slope(p, nm)) * spec.gate_time
         return value
 
-    from scipy.stats import qmc  # 0.7 s to import; only the Sobol starts need it
+    # Imported here: scipy.stats and scipy.optimize take about 1 s to import.
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=len(names), scramble=True, seed=spec.seed)
     n_draw = 1 << max(int(np.ceil(np.log2(max(spec.restarts, 1)))), 0)
@@ -279,16 +278,19 @@ class SweepResult:
     feasible: np.ndarray
     reason: np.ndarray
 
+    def _near_min_cells(self, values, slack):
+        """Feasible cells within ``slack`` of the feasible minimum; none if none is feasible."""
+        if not self.feasible.any():
+            return set()
+        values = np.where(self.feasible, values, np.inf)
+        return set(zip(*np.where(values <= np.min(values) + slack)))
+
     def argmin_cells(self, slack=1e-9):
         """Feasible cells whose rate is within ``slack`` of the minimum."""
-        rates = np.where(self.feasible, self.decay_rate, np.inf)
-        best = np.min(rates)
-        return set(zip(*np.where(rates <= best + slack)))
+        return self._near_min_cells(self.decay_rate, slack)
 
     def min_pair_gap_cells(self, slack=1e-9):
-        gaps = np.where(self.feasible, self.pair_gap, np.inf)
-        best = np.min(gaps)
-        return set(zip(*np.where(gaps <= best + slack)))
+        return self._near_min_cells(self.pair_gap, slack)
 
     def to_records(self):
         records = []
@@ -331,12 +333,11 @@ def _sweep_cell(grid, nm, v1, v2):
         return (np.nan, "none", np.nan, np.nan, np.nan, False, f"error: {exc}")
 
 
-def sweep(grid: SweepGrid, nm: NoiseModel, threads=1):
+def sweep(grid: SweepGrid, nm: NoiseModel):
     """Evaluate |dP/dt| at t=0 and degeneracy diagnostics on every cell.
 
-    Cells are evaluated one after another in index order. ``threads`` is
-    accepted and has no effect: each cell is a few small numpy calls, and
-    a thread pool made the sweep slower.
+    Cells are evaluated one after another in index order: each cell is a
+    few small numpy calls, and a thread pool made the sweep slower.
     """
     n1, n2 = len(grid.values1), len(grid.values2)
     decay = np.full((n1, n2), np.nan)
@@ -454,7 +455,6 @@ class SensitivityReport:
     radii: dict
     radius: float
     non_optimal: bool
-    purity_quadratic: dict = None
 
 
 def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
@@ -502,7 +502,7 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
             err += gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss() - base_loss
         return err
 
-    quadratic, linear, coh_linear, radii, purity_quad = {}, {}, {}, {}, {}
+    quadratic, linear, coh_linear, radii = {}, {}, {}, {}
     non_optimal = False
     for name in PARAM_NAMES:
         v = getattr(params, name)
@@ -518,9 +518,6 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         linear[name] = float((e_plus - e_minus) / (2.0 * rel_step))
         coh_lin = (c_plus - c_minus) / (2.0 * rel_step)
         coh_linear[name] = float(coh_lin)
-        purity_quad[name] = float(
-            ((e_plus - c_plus) + (e_minus - c_minus)) / (2.0 * rel_step**2)
-        )
         if check_linear and abs(coh_lin) > linear_tol * max(q, 1.0):
             non_optimal = True
         radii[name] = float(np.sqrt(budget / q)) if q > 0 else np.inf
@@ -533,7 +530,6 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         radii=radii,
         radius=float(min(radii.values())) if radii else np.inf,
         non_optimal=non_optimal,
-        purity_quadratic=purity_quad,
     )
 
 
@@ -564,10 +560,9 @@ class CalibrationResult:
     energy_unit_ghz: float
     temperature_machine: float
     flagged: bool
-    details: dict
 
 
-def calibrate(delta_ghz, t1_inverse_ghz, j_ghz=None, temperature_kelvin=None,
+def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None,
               cutoff_reduced=20.0, temperature_reduced=0.2):
     """Extract the Ohmic coupling from a measured single-qubit 1/T1.
 
@@ -603,22 +598,10 @@ def calibrate(delta_ghz, t1_inverse_ghz, j_ghz=None, temperature_kelvin=None,
     noise = NoiseModel.from_reduced(
         alpha=alpha, temperature=t_reduced, cutoff=cutoff_reduced
     )
-    details = {
-        "delta_ghz": delta_ghz,
-        "j_ghz": j_ghz,
-        "t1_inverse_ghz": t1_inverse_ghz,
-        "temperature_kelvin": temperature_kelvin,
-        "pinned_normalization": RELAXATION_NORMALIZATION,
-        "analytic_identity_rate": (np.pi / 2.0)
-        * spectral_function(delta_ghz, NoiseModel(alpha, t_machine, cutoff_reduced * delta_ghz))
-        if alpha > 0
-        else 0.0,
-    }
     return CalibrationResult(
         alpha=float(alpha),
         noise=noise,
         energy_unit_ghz=float(delta_ghz),
         temperature_machine=float(t_machine),
         flagged=bool(flagged),
-        details=details,
     )

@@ -191,7 +191,7 @@ class TestCriterion5Fig1Landscape:
         start = time.time()
         grid = fig1_grid(n=41)
         nm0 = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
-        res = sweep(grid, nm0, threads=4)
+        res = sweep(grid, nm0)
 
         argmin = res.argmin_cells(1e-12)
         mingap = res.min_pair_gap_cells(1e-12)
@@ -260,7 +260,7 @@ class TestCriterion7DeviceEstimates:
 class TestCriterion8Sensitivity:
     def test_tolerance_radii(self):
         start = time.time()
-        cal = calibrate(10.0, 0.1, j_ghz=20.0)
+        cal = calibrate(10.0, 0.1)
 
         rep_cnot = sensitivity(
             onestep_cnot().params, cal.noise, budget=1e-4, target=target_gate("CNOT")

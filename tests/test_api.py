@@ -46,9 +46,11 @@ def test_pipeline_cache_info():
     assert info.maxsize > 0
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats costs about 0.7 s to import; only optimize's Sobol starts use it.
-    code = "import sys, degengate; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_out(module):
+    # scipy.stats (about 0.7 s) and scipy.optimize (about 0.3 s) are imported
+    # only by the searches and constructions that call them.
+    code = f"import sys, degengate, degengate.cli; print({module!r} in sys.modules)"
     src = os.path.join(os.path.dirname(degengate.__file__), os.pardir)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])])}

@@ -97,6 +97,9 @@ class TestConfigHandling:
                                     "J >= Delta"),
         "comparison-zero-amplitude": ("purity", {"comparison": {"amplitude_bound": 0}},
                                       "amplitude bound"),
+        "optimize-empty-bounds": ("optimize", {"optimize": {"bounds": {}}}, "bounds"),
+        "calibrate-zero-j": ("calibrate", {"calibrate": {"delta_ghz": 10.0, "j_ghz": 0,
+                                                         "t1_inverse_ghz": 0.1}}, "J >= Delta"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -323,6 +326,27 @@ class TestByteReproducibility:
 
 
 class TestSweepCommand:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_feasible_cell_summary_is_strict_json(self, tmp_path):
+        cfg = {
+            "sweep": {
+                "param1": "jy", "param2": "jz",
+                "start1": 3.0, "stop1": 4.0, "n1": 3,
+                "start2": 3.0, "stop2": 4.0, "n2": 3,
+                "closure": "jx_from_norm", "coupling_norm": 1.0,
+            },
+        }
+        code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path, cfg))
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        summary = json.loads(read(out / "sweep_summary.json"), parse_constant=reject)
+        assert summary["argmin_cells"] == []
+        assert summary["min_rate"] is None
+        assert summary["feasible_cells"] == 0
+
     def test_single_cell_matches_purity_summary(self, tmp_path):
         # A 1x1 grid equals the decay rate the purity summary reports.
         sweep_cfg = {

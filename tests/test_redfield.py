@@ -111,9 +111,11 @@ class TestPipelineCache:
         es2, tensor2, lmat2 = _pipeline(CNOT_REFINED, DESK)
         fresh_es = eigensystem(build_hamiltonian(CNOT_REFINED))
         fresh = redfield_tensor(lambda_rates(fresh_es, DESK), omega=fresh_es.omega)
+        v = fresh_es.vectors
         np.testing.assert_array_equal(es2.vectors, fresh_es.vectors)
         np.testing.assert_array_equal(tensor2.tensor, fresh.tensor)
-        np.testing.assert_array_equal(lmat2, fresh.liouvillian())
+        np.testing.assert_array_equal(
+            lmat2, np.kron(v, v.conj()) @ fresh.liouvillian() @ np.kron(v.conj().T, v.T))
 
 
 class TestRedfieldTensor:
@@ -154,7 +156,7 @@ class TestPropagation:
     def test_unitary_case_stationary_diagonal(self):
         nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
         es, tensor, _ = _pipeline(CNOT_REFINED, nm0)
-        rho0 = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), basis="eigen")
+        rho0 = DensityMatrix(es.to_standard(np.diag([0.4, 0.3, 0.2, 0.1])))
         traj = propagate(rho0, es, tensor, t_final=1.0, dt=1e-3)
         np.testing.assert_allclose(traj.matrices[-1], rho0.matrix, atol=1e-9)
 
@@ -327,7 +329,8 @@ class TestGatePurity:
         # generator's right-hand side in the eigenbasis.
         for _ in range(20):
             params = random_params(rng, scale=1.5)
-            es, _, lmat = _pipeline(params, DESK)
+            es, tensor, _ = _pipeline(params, DESK)
+            lmat = tensor.liouvillian()
             total = 0.0
             for rho in initial_product_states():
                 rho_e = es.to_eigenbasis(rho)
@@ -347,7 +350,8 @@ class TestExactEngine:
                              ids=["paper-cnot", "bgate-x4"])
     def test_gate_purity_matches_rk4(self, params):
         trace = gate_purity(params, DESK)
-        es, _, lmat = _pipeline(params, DESK)
+        es, tensor, _ = _pipeline(params, DESK)
+        lmat = tensor.liouvillian()
         dt = trace.times[1]
         # Four RK4 substeps per t0/2000 sample keep the reference's own error
         # (4.6e-9 with one step at four times the B-gate controls) far below the bound.
@@ -405,11 +409,11 @@ class TestExactEngine:
         np.testing.assert_array_equal(y_final, history[-1])
 
     def test_propagate_history_matches_sequential_products(self):
-        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
+        es, tensor, _ = _pipeline(CNOT_REFINED, DESK)
         rho0 = DensityMatrix(initial_product_states()[6])
         n_steps = 2 * BLOCK + 3
         traj = propagate(rho0, es, tensor, t_final=n_steps * 1e-3, dt=1e-3)
-        prop = expm(traj.times[1] * lmat)
+        prop = expm(traj.times[1] * tensor.liouvillian())
         y = es.to_eigenbasis(rho0.matrix).reshape(16)
         ref = [es.to_standard(y.reshape(4, 4))]
         for _ in range(n_steps):
