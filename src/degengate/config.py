@@ -98,6 +98,11 @@ CONSTRUCTIONS = {
 }
 
 
+def _is_number(value):
+    """An int or a float; JSON true/false are bools, which Python counts as ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_keys(obj, schema, path):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -109,7 +114,7 @@ def _check_keys(obj, schema, path):
             if key in ("params", "fixed", "bounds", "frozen"):
                 continue  # free-form but validated below
             _check_keys(value, expected, path + key + ".")
-        elif not isinstance(value, expected):
+        elif isinstance(value, bool) or not isinstance(value, expected):  # no key takes a bool
             raise ConfigError(
                 f"{path + key}: expected {expected}, got {type(value).__name__}"
             )
@@ -125,11 +130,11 @@ def _check_param_dict(d, path, pair=False):
             ok = (
                 isinstance(value, (list, tuple))
                 and len(value) == 2
-                and all(isinstance(v, (int, float)) for v in value)
+                and all(_is_number(v) for v in value)
             )
             if not ok:
                 raise ConfigError(f"{path}.{key}: expected a [low, high] pair")
-        elif not isinstance(value, (int, float)):
+        elif not _is_number(value):
             raise ConfigError(f"{path}.{key}: expected a number")
 
 

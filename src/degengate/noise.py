@@ -77,7 +77,10 @@ def spectral_function(omega, nm: NoiseModel):
     else:
         small = np.abs(w) < 1e-12 * max(nm.temperature, 1.0)
         regular = inside & ~small
-        x = w[regular] / (2.0 * nm.temperature)
+        # At a subnormal temperature w / 2T overflows to +-inf, and
+        # tanh(+-inf) = +-1 gives the exact alpha |w|.
+        with np.errstate(over="ignore"):
+            x = w[regular] / (2.0 * nm.temperature)
         out[regular] = nm.alpha * w[regular] / np.tanh(x)
         out[inside & small] = 2.0 * nm.alpha * nm.temperature
     if np.ndim(omega) == 0:

@@ -24,7 +24,17 @@ The master equation is written in the eigenbasis, but its generator is
 rotated once into the standard basis (``_generator``),
 L_std = kron(V, V*) L_eig kron(V^dag, V^T) on row-major vec(rho). Every
 state the module propagates, validates or returns is in the standard
-basis; no state is moved between bases.
+basis (purity traces carry it as Pauli coefficients, below); no state is
+moved into an eigenbasis.
+
+Purity traces propagate the 16 product states as real Pauli-coefficient
+(Bloch) vectors c_a = Tr(sigma_a rho) over the 16 two-qubit Paulis:
+with T the matrix whose rows are vec(sigma_a*), c = T vec(rho), the
+generator becomes the real 16x16 B = T L T^dag / 4 (``_bloch_generator``)
+and Tr rho^2 = |c|^2 / 4. A Hermitian state has real coefficients, so
+the imaginary part of B, which a Hermiticity-preserving generator does
+not have, is checked and dropped. Only the final states are mapped back
+to matrices, for validation.
 
 The generator L is constant on a segment, so propagation is exact:
 on a uniform grid of spacing dt the state advances by the single matrix
@@ -54,7 +64,7 @@ from .errors import (
 )
 from .hamiltonian import EigenSystem, HamiltonianParams, build_hamiltonian, eigensystem
 from .noise import NoiseModel, spectral_function
-from .pauli import SZ1, SZ2
+from .pauli import SZ1, SZ2, pauli_tensor
 
 LAMBDA_PREFACTOR = 1.0 / (4.0 * np.pi)
 
@@ -74,6 +84,12 @@ EIGENVALUE_FLOOR = -1e-6
 
 #: Output samples per gate duration t0 when the caller gives no dt.
 DEFAULT_STEPS_PER_T0 = 2000
+
+#: Rows vec(sigma_a*) over the 16 two-qubit Paulis: c = PAULI_ROWS @ vec(rho)
+#: are the Pauli coefficients Tr(sigma_a rho) on row-major vec(rho), and
+#: vec(rho) = PAULI_ROWS^dag c / 4.
+PAULI_ROWS = np.array([pauli_tensor(a, b).conj().reshape(16) for a in "0xyz" for b in "0xyz"])
+PAULI_ROWS.flags.writeable = False
 
 
 def _noise_eigen_floor(nm):
@@ -233,9 +249,10 @@ def _pipeline(params: HamiltonianParams, nm: NoiseModel):
 
 
 #: Samples ``_evolve`` advances per batched product; its stack of
-#: propagator powers holds BLOCK 16x16 complex matrices (256 kB). Blocks
-#: of 128 and 256 measured slower on the default CNOT grid and at four
-#: times its control scale: each power costs one more small product.
+#: propagator powers holds BLOCK 16x16 matrices of the generator's dtype
+#: (256 kB complex, 128 kB real). Blocks of 128 and 256 measured slower on
+#: the default CNOT grid and at four times its control scale: each power
+#: costs one more small product.
 BLOCK = 64
 
 
@@ -257,7 +274,7 @@ def _evolve(lmat, y0, dt, n_steps, record):
     """
     dim = len(lmat)
     size = min(BLOCK, n_steps)
-    powers = np.empty((size, dim, dim), dtype=complex)
+    powers = np.empty((size, dim, dim), dtype=lmat.dtype)
     powers[0] = expm(dt * lmat)
     for k in range(1, size):
         np.matmul(powers[0], powers[k - 1], out=powers[k])
@@ -351,13 +368,29 @@ class PurityTrace:
 
 
 def _purities(block):
-    """Tr rho^2 for every state of a block of samples.
+    """Tr rho^2 = |c|^2 / 4 for every state of a block of samples.
 
-    ``block`` has shape (m, 16, n): sample x row-major vec(rho) x state.
+    ``block`` has shape (m, 16, n): sample x Pauli coefficient x state.
     Returns shape (m, n).
     """
-    rhos = block.reshape(len(block), 4, 4, -1)
-    return np.einsum("tijs,tjis->ts", rhos, rhos).real
+    return 0.25 * np.einsum("tas,tas->ts", block, block)
+
+
+def _bloch_generator(lmat):
+    """The real generator B = T L T^dag / 4 of the Pauli coefficients.
+
+    ``lmat`` acts on row-major vec(rho); T = PAULI_ROWS. B is real
+    exactly when L preserves Hermiticity, so an imaginary part above
+    1e-10 max(1, max|L|) raises IntegrationError rather than being dropped.
+    """
+    bloch = PAULI_ROWS @ lmat @ PAULI_ROWS.conj().T / 4.0
+    leak = float(np.max(np.abs(bloch.imag)))
+    if leak > 1e-10 * max(1.0, float(np.max(np.abs(lmat)))):
+        raise IntegrationError(
+            f"generator does not preserve Hermiticity: its Pauli form has an "
+            f"imaginary part of {leak:.2e}"
+        )
+    return bloch.real
 
 
 def _purity_slope(lmat, y):
@@ -387,34 +420,38 @@ def _purity_trace(segments, nm: NoiseModel):
     """Propagate the 16 product states through constant-generator segments.
 
     ``segments`` lists (standard-basis Liouvillian, duration, dt); each
-    segment is sampled on the ``_grid`` nearest dt, and the states stay in
-    the standard basis throughout. The initial slope is the analytic one
-    of the first segment. Every final state is validated; a failure is
-    re-raised with the failing state's index.
+    segment is sampled on the ``_grid`` nearest dt. The states are
+    propagated as real Pauli coefficients under each segment's
+    ``_bloch_generator``, and their purities are |c|^2 / 4. The initial
+    slope is the analytic one of the first segment, taken from its complex
+    generator. Every final state is mapped back to a matrix and validated;
+    a failure is re-raised with the failing state's index.
     """
-    y = _product_vecs()
+    vecs = _product_vecs()
+    c = (PAULI_ROWS @ vecs).real
     all_times = [np.zeros(1)]
-    all_purity = [_purities(y[None])]
+    all_purity = [_purities(c[None])]
     slope = None
     t_offset = 0.0
     for lmat, duration, dt in segments:
         n_steps, dt = _grid(duration, dt)
         if slope is None:
-            slope = _purity_slope(lmat, y)
+            slope = _purity_slope(lmat, vecs)
         seg_purity = np.empty((n_steps + 1, 16))
 
         def record(start, block):
             seg_purity[start:start + len(block)] = _purities(block)
 
-        y = _evolve(lmat, y, dt, n_steps, record)
+        c = _evolve(_bloch_generator(lmat), c, dt, n_steps, record)
         all_times.append(t_offset + np.arange(1, n_steps + 1) * dt)
         all_purity.append(seg_purity[1:])
         t_offset += duration
 
     floor = _noise_eigen_floor(nm)
-    for j in range(16):
+    rhos = (PAULI_ROWS.conj().T @ c / 4.0).T.reshape(16, 4, 4)
+    for j, rho in enumerate(rhos):
         try:
-            DensityMatrix(y[:, j].reshape(4, 4)).validate(state_index=j, eigen_floor=floor)
+            DensityMatrix(rho).validate(state_index=j, eigen_floor=floor)
         except StateValidityError as exc:
             raise StateValidityError(f"state {j}: {exc}", state_index=j) from exc
 
@@ -455,9 +492,10 @@ def sequence_gate_purity(segments, nm: NoiseModel):
     duration raises InvalidParameterError. Each segment is sampled every
     1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least one
     step). Each segment's master equation is written in its own eigenbasis
-    and its generator rotated once to the standard basis (``_generator``),
-    where the 16 product states are propagated. The initial slope is the
-    analytic one for the first segment's generator.
+    and its generator rotated once to the standard basis (``_generator``);
+    ``_purity_trace`` propagates the 16 product states under its Pauli
+    form. The initial slope is the analytic one for the first segment's
+    generator.
     """
     resolved = []
     for h, duration in segments:
@@ -500,6 +538,11 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
     _, _, lmat = _pipeline(params, nm)
 
     rate_guess = spectral_function(2.0 * delta, nm) / np.pi
+    if rate_guess == 0.0:
+        raise InvalidParameterError(
+            f"level splitting 2*delta = {2.0 * delta:g} lies above the bath cutoff "
+            f"{nm.cutoff:g}: S(2 delta) = 0 leaves no relaxation to fit"
+        )
     t_final = 0.25 / rate_guess
     n_steps, dt = _grid(t_final, t_final / fit_points)
 

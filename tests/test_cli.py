@@ -100,6 +100,15 @@ class TestConfigHandling:
         "optimize-empty-bounds": ("optimize", {"optimize": {"bounds": {}}}, "bounds"),
         "calibrate-zero-j": ("calibrate", {"calibrate": {"delta_ghz": 10.0, "j_ghz": 0,
                                                          "t1_inverse_ghz": 0.1}}, "J >= Delta"),
+        "noise-alpha-true": ("purity", {"hamiltonian": {"construction": "cnot_onestep_refined"},
+                                        "noise": {"alpha": True}}, "noise.alpha"),
+        "sweep-n1-true": ("sweep", {"sweep": {**SWEEP, "n1": True}}, "sweep.n1"),
+        "params-true": ("spectrum", {"hamiltonian": {"params": {"jz": True}}},
+                        "hamiltonian.params.jz"),
+        "bounds-true": ("optimize", {"optimize": {"bounds": {"jz": [False, 1.0]}}},
+                        "optimize.bounds.jz"),
+        "seed-true": ("spectrum", {"hamiltonian": {"construction": "cnot_onestep_refined"},
+                                   "seed": True}, "seed"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

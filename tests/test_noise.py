@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,15 @@ def test_zero_temperature_is_linear():
     assert spectral_function(1.0, nm) == pytest.approx(0.01)
     assert spectral_function(-3.0, nm) == pytest.approx(0.03)
     assert spectral_function(0.0, nm) == 0.0
+
+
+def test_subnormal_temperature_is_linear_without_warning():
+    # w / 2T overflows to inf; tanh(inf) = 1 gives exactly alpha |w|.
+    nm = NoiseModel(alpha=0.01, temperature=5e-324, cutoff=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = spectral_function(np.array([1.0, -3.0]), nm)
+    np.testing.assert_array_equal(values, [0.01 * 1.0, 0.01 * 3.0])
 
 
 def test_even_inside_cutoff():

@@ -23,8 +23,11 @@ from degengate.redfield import (
     BLOCK,
     RELAXATION_NORMALIZATION,
     DEFAULT_STEPS_PER_T0,
+    _bloch_generator,
     _evolve,
+    _generator,
     _pipeline,
+    _purity_trace,
 )
 from degengate.hamiltonian import PARAM_NAMES, EigenSystem
 
@@ -35,9 +38,13 @@ CNOT_REFINED = HamiltonianParams(delta2=1.5, eps1=-0.25, eps2=-SQ7_4, jz=-SQ7_4)
 DESK = NoiseModel.from_reduced()
 
 
-def _mean_purity(y):
+def _per_state_purity(y):
     rhos = y.T.reshape(-1, 4, 4)
-    return np.einsum("sij,sji->s", rhos, rhos).real.mean()
+    return np.einsum("sij,sji->s", rhos, rhos).real
+
+
+def _mean_purity(y):
+    return _per_state_purity(y).mean()
 
 
 def rk4_reference(lmat, y0, dt, n_steps, substeps=1):
@@ -58,6 +65,22 @@ def rk4_reference(lmat, y0, dt, n_steps, substeps=1):
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         purity.append(_mean_purity(y))
     return y, np.array(purity)
+
+
+def vec_purity_reference(segments):
+    """Per-state purity of the 16 product states as complex vec(rho) columns.
+
+    ``segments`` lists (standard-basis L, n_steps, dt); each sample is one
+    product with expm(dt L). Returns shape (1 + total steps, 16).
+    """
+    y = np.stack([rho.reshape(16) for rho in initial_product_states()], axis=1)
+    purity = [_per_state_purity(y)]
+    for lmat, n_steps, dt in segments:
+        prop = expm(dt * lmat)
+        for _ in range(n_steps):
+            y = prop @ y
+            purity.append(_per_state_purity(y))
+    return np.array(purity)
 
 
 def _eigen_product_states(es):
@@ -199,6 +222,11 @@ class TestPropagation:
     def test_relaxation_zero_noise(self):
         chk = relax_time_check(np.pi, NoiseModel(alpha=0.0, temperature=0.0, cutoff=10.0))
         assert chk.fitted_rate == 0.0 and chk.analytic_rate == 0.0
+
+    def test_relaxation_splitting_above_cutoff_rejected(self):
+        # S(2 delta) = 0 above the cutoff: nothing relaxes, so nothing to fit.
+        with pytest.raises(InvalidParameterError, match="cutoff 10"):
+            relax_time_check(10.0, NoiseModel(alpha=0.01, temperature=0.0, cutoff=10.0))
 
     def test_normalization_constant_across_alpha_grid(self):
         ratios = []
@@ -385,10 +413,18 @@ class TestExactEngine:
         assert np.max(np.abs(trace.average - ref)) <= 1e-9
 
     @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-    @pytest.mark.parametrize("y_shape", [(16,), (16, 16)], ids=["vector", "states"])
-    def test_evolve_blocks_match_sequential_products(self, rng, n_steps, y_shape):
+    @pytest.mark.parametrize("y_shape, dtype",
+                             [((16,), complex), ((16, 16), complex),
+                              ((16,), float), ((16, 16), float)],
+                             ids=["vector", "states", "real-vector", "real-states"])
+    def test_evolve_blocks_match_sequential_products(self, rng, n_steps, y_shape, dtype):
         _, _, lmat = _pipeline(BGATE_X4, DESK)
-        y0 = rng.normal(size=y_shape) + 1j * rng.normal(size=y_shape)
+        y0 = rng.normal(size=y_shape)
+        if dtype is complex:
+            y0 = y0 + 1j * rng.normal(size=y_shape)
+        else:
+            lmat = _bloch_generator(lmat)
+        assert lmat.dtype == dtype
         dt = 2e-3
         prop = expm(dt * lmat)
         ref = [y0]
@@ -404,9 +440,32 @@ class TestExactEngine:
         y_final = _evolve(lmat, y0, dt, n_steps, record)
         assert starts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
         history = np.concatenate(blocks)
-        assert history.shape == (n_steps + 1,) + y_shape
+        assert history.shape == (n_steps + 1,) + y_shape and history.dtype == dtype
         assert np.max(np.abs(history - np.array(ref))) <= 1e-12
         np.testing.assert_array_equal(y_final, history[-1])
+
+    def test_gate_purity_matches_complex_products(self):
+        # Reference: the 16 states as complex vec(rho), one expm(dt L) product per sample.
+        trace = gate_purity(CNOT_REFINED, DESK)
+        _, _, lmat = _pipeline(CNOT_REFINED, DESK)
+        ref = vec_purity_reference([(lmat, DEFAULT_STEPS_PER_T0, trace.times[1])])
+        assert ref.shape == trace.per_state.shape
+        assert np.max(np.abs(trace.per_state - ref)) <= 1e-12
+
+    def test_sequence_gate_purity_matches_complex_products(self):
+        segments = [(build_hamiltonian(CNOT_REFINED), 0.5),
+                    (build_hamiltonian(HamiltonianParams(delta1=0.7, jx=0.4)), 0.25)]
+        trace = sequence_gate_purity(segments, DESK)
+        steps = [round(duration * DEFAULT_STEPS_PER_T0) for _, duration in segments]
+        ref = vec_purity_reference([(_generator(h, DESK)[2], n, duration / n)
+                                    for (h, duration), n in zip(segments, steps)])
+        assert ref.shape == trace.per_state.shape
+        assert np.max(np.abs(trace.per_state - ref)) <= 1e-12
+
+    def test_non_hermiticity_preserving_generator_rejected(self):
+        _, _, lmat = _pipeline(CNOT_REFINED, DESK)
+        with pytest.raises(IntegrationError, match="Hermiticity"):
+            _purity_trace([(lmat + 1e-3j * np.eye(16), 1.0, 0.1)], DESK)
 
     def test_propagate_history_matches_sequential_products(self):
         es, tensor, _ = _pipeline(CNOT_REFINED, DESK)
