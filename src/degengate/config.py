@@ -170,11 +170,15 @@ def validate_config(raw):
     return raw
 
 
+def _reject_constant(name):
+    raise ConfigError(f"{name} is not a JSON number")
+
+
 def load_config(path):
-    """Load and validate a JSON config file."""
+    """Load and validate a JSON config file (strict JSON: no NaN or Infinity)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -199,12 +203,7 @@ def resolve_hamiltonian(cfg):
 def resolve_noise(cfg, t0=1.0):
     """Resolve the config's noise section (reduced units) to a NoiseModel."""
     noise = cfg.get("noise", {})
-    return NoiseModel.from_reduced(
-        alpha=float(noise.get("alpha", 0.01)),
-        temperature=float(noise.get("temperature", 0.2)),
-        cutoff=float(noise.get("cutoff", 20.0)),
-        t0=t0,
-    )
+    return NoiseModel.from_reduced(**{k: float(v) for k, v in noise.items()}, t0=t0)
 
 
 def resolve_sweep_grid(cfg):

@@ -157,7 +157,6 @@ class OneStepGate:
     params: HamiltonianParams
     target: str
     global_phase: float = None
-    expected_degeneracy: str = None
     gate_time: float = None
     notes: dict = field(default_factory=dict)
 
@@ -187,7 +186,6 @@ def onestep_cnot(refined=True):
         params=params,
         target="CNOT",
         global_phase=-np.pi / 4.0,
-        expected_degeneracy="single",
         notes={"expected_energies_reduced": (-2.25, -1.25, 1.75, 1.75)},
     )
 
@@ -258,7 +256,6 @@ def cnot_class_pulse(j, delta, printed_signs=False):
         name="cnot_class_pulse",
         params=base,
         target="CNOT",
-        expected_degeneracy="double",
         gate_time=scale * base.t0,
         notes={"time_scale": scale, "invariant_gap": gap, "j": j, "delta": delta},
     )
@@ -277,7 +274,6 @@ def onestep_bgate(refined=True):
         name="bgate_onestep_refined" if refined else "bgate_onestep_printed",
         params=params,
         target="B",
-        expected_degeneracy="double",
     )
 
 
@@ -314,7 +310,6 @@ def refine_bgate(start=None):
         name="bgate_onestep_polished",
         params=params,
         target="B",
-        expected_degeneracy="double",
         gate_time=float(scale) * params.t0,
         notes={"invariant_gap": float(res.fun), "jy": float(jy), "time_scale": float(scale)},
     )

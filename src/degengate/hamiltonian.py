@@ -130,8 +130,8 @@ class EigenSystem:
     """Eigenvalues and eigenvectors of a 4x4 Hermitian matrix.
 
     ``energies`` are ascending, in the units of the input matrix.
-    ``vectors`` holds orthonormal eigenvectors as columns, with a
-    deterministic phase convention (see :func:`eigensystem`).
+    ``vectors`` holds orthonormal eigenvectors as columns, as
+    ``np.linalg.eigh`` returns them (see :func:`eigensystem`).
     ``omega[n, m] = energies[n] - energies[m]`` are the transition
     frequencies.
     """
@@ -162,61 +162,15 @@ class EigenSystem:
         return self.vectors @ op @ self.vectors.conj().T
 
 
-def _fix_phases(vectors):
-    """Make the largest-magnitude component of each column real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            out[:, k] = col * (np.abs(pivot) / pivot)
-    return out
+def eigensystem(h):
+    """Diagonalize a Hermitian 4x4 matrix.
 
-
-def _canonicalize_degenerate(energies, vectors, tol):
-    """Re-span exactly/nearly degenerate clusters deterministically.
-
-    Within each cluster (successive gaps below ``tol``) the subspace basis
-    is rebuilt by projecting the standard basis vectors e1..e4 in index
-    order and Gram-Schmidt orthonormalizing, which removes the arbitrary
-    rotation returned by the eigensolver.
-    """
-    out = vectors.copy()
-    start = 0
-    while start < 4:
-        stop = start + 1
-        while stop < 4 and energies[stop] - energies[stop - 1] < tol:
-            stop += 1
-        size = stop - start
-        if size > 1:
-            block = out[:, start:stop]
-            proj = block @ block.conj().T
-            basis = []
-            for i in range(4):
-                cand = proj[:, i].copy()
-                for prev in basis:
-                    cand -= prev * (prev.conj() @ cand)
-                norm = np.linalg.norm(cand)
-                if norm > 1e-8:
-                    basis.append(cand / norm)
-                if len(basis) == size:
-                    break
-            if len(basis) == size:
-                out[:, start:stop] = np.column_stack(basis)
-        start = stop
-    return out
-
-
-def eigensystem(h, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
-    """Diagonalize a Hermitian 4x4 matrix with a reproducible convention.
-
-    Eigenvalues come out ascending. Degenerate clusters (successive gap
-    below ``degeneracy_tol``) are re-orthonormalized by deterministic
-    projection of the standard basis, then every eigenvector's
-    largest-magnitude component is made real and positive. Both steps are
-    needed so that downstream relaxation tensors do not depend on LAPACK
-    internals.
+    Eigenvalues come out ascending; the eigenvectors are those of
+    ``np.linalg.eigh``, with whatever phases, and whatever rotation inside
+    a degenerate subspace, LAPACK returns. Eigenbasis quantities
+    (``lambda_rates``, ``redfield_tensor``) depend on that choice; the
+    standard-basis generator K L_eig K^dag that every state is propagated
+    under does not.
 
     Raises
     ------
@@ -229,8 +183,6 @@ def eigensystem(h, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise NonHermitianError("input matrix is not Hermitian within 1e-10")
     energies, vectors = np.linalg.eigh(h)
-    vectors = _canonicalize_degenerate(energies, vectors, degeneracy_tol)
-    vectors = _fix_phases(vectors)
     return EigenSystem(energies=energies, vectors=vectors)
 
 

@@ -48,5 +48,4 @@ def pauli_tensor(a, b):
 # Frequently used two-qubit operators, precomputed.
 SZ1 = pauli_tensor("z", "0")
 SZ2 = pauli_tensor("0", "z")
-SX1 = pauli_tensor("x", "0")
 SX2 = pauli_tensor("0", "x")

@@ -25,7 +25,9 @@ rotated once into the standard basis (``_generator``),
 L_std = kron(V, V*) L_eig kron(V^dag, V^T) on row-major vec(rho). Every
 state the module propagates, validates or returns is in the standard
 basis (purity traces carry it as Pauli coefficients, below); no state is
-moved into an eigenbasis.
+moved into an eigenbasis. L_std does not change under the eigenvector
+phases or under a rotation inside a degenerate subspace, so any
+eigenbasis ``eigh`` returns gives the same results.
 
 Purity traces propagate the 16 product states as real Pauli-coefficient
 (Bloch) vectors c_a = Tr(sigma_a rho) over the 16 two-qubit Paulis:
@@ -137,9 +139,6 @@ class DensityMatrix:
                 f"negative eigenvalue {lowest:.2e} below floor", state_index=state_index
             )
 
-    def purity(self):
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
 
 def single_qubit_kets():
     """The four single-qubit states the 16 product states are built from."""
@@ -173,9 +172,9 @@ def initial_product_states():
 def lambda_rates(es: EigenSystem, nm: NoiseModel):
     """Partial transition rates Lambda_lmnk in the eigenbasis.
 
-    With the package's real eigenvector convention the tensor is real and
-    equals the decoherence rates of the weak-coupling generator; complex
-    eigenvector phases are carried through covariantly.
+    The tensor is complex in general: it follows the phases and the
+    degenerate-subspace rotation of ``es.vectors``. The standard-basis
+    generator built from it does not depend on that choice of basis.
     """
     a1 = es.to_eigenbasis(SZ1)
     a2 = es.to_eigenbasis(SZ2)

@@ -374,7 +374,9 @@ def fig1_grid(n=41, jy_range=(0.10, 1.70), jz_range=(0.48, 2.08), delta=1.0,
     Jy Jz = Delta^2 exactly at the grid point (0.5, 2.0); that crossing
     is where the landscape attains its minimum decay rate. (Only one of
     the two symmetric crossings lies in the window; the sigma_z-coupled
-    baths make the rate lower on the Jz-dominant branch.)
+    baths make the rate lower on the Jz-dominant branch.) Cells are
+    labelled with ``degeneracy_tol`` 0.1, like the ``paper:fig1``
+    experiment.
     """
     return SweepGrid(
         param1="jy",
@@ -384,6 +386,7 @@ def fig1_grid(n=41, jy_range=(0.10, 1.70), jz_range=(0.48, 2.08), delta=1.0,
         fixed={"delta1": delta, "delta2": delta},
         closure="jx_from_norm",
         coupling_norm=coupling_norm,
+        degeneracy_tol=0.1,
     )
 
 

@@ -14,7 +14,8 @@ import pytest
 
 import degengate
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
 
 
 def _load_tracer():
@@ -57,3 +58,11 @@ def test_import_leaves_out(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_selftest_passes():
+    # The harness binds to src/ (traced names, trace transparency, the
+    # output checker); a refactor that breaks it fails here.
+    out = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]

@@ -109,6 +109,9 @@ class TestConfigHandling:
                         "optimize.bounds.jz"),
         "seed-true": ("spectrum", {"hamiltonian": {"construction": "cnot_onestep_refined"},
                                    "seed": True}, "seed"),
+        "purity-weight-nan": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
+                                                        "purity_weight": float("nan")}}, "NaN"),
+        "sweep-tol-nan": ("sweep", {"sweep": {**SWEEP, "degeneracy_tol": float("nan")}}, "NaN"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -381,6 +384,14 @@ class TestSweepCommand:
         code, out2 = main(["purity", "--config", path2, "--out", str(tmp_path / "p")]), tmp_path / "p"
         summary = json.loads(read(out2 / "purity_summary.json"))
         assert float(data["dpdt0"]) == pytest.approx(summary["decay_rate"], rel=1e-12)
+
+    def test_default_grid_is_paper_fig1(self, tmp_path):
+        # A config without a sweep section sweeps the fig1 grid, labels included.
+        cfg = {"noise": {"alpha": 0.01, "temperature": 0.0, "cutoff": 20.0}, "seed": 1}
+        code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path, cfg))
+        assert code == EXIT_OK
+        assert main(["sweep", "--experiment", "paper:fig1", "--out", str(tmp_path / "fig1")]) == 0
+        assert read(out / "sweep.csv") == read(tmp_path / "fig1" / "sweep.csv")
 
     def test_zero_noise_sweep_zero_column(self, tmp_path):
         cfg = {

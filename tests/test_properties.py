@@ -89,3 +89,15 @@ def test_slope_continuous_off_cnot_degeneracy(exponent, sign):
     h = sign * 10.0**exponent
     moved = initial_purity_slope(CNOT.replace(jz=CNOT.jz + h), DESK)
     assert abs(moved - initial_purity_slope(CNOT, DESK)) <= 1e-2 * abs(h) + 1e-13
+
+
+@pytest.mark.parametrize("h", [-3e-9, -1e-9, 1e-9, 3e-9])
+def test_slope_derivative_one_sided_at_cnot(h):
+    # Inside 1e-8 of the CNOT degeneracy the pair is split but nearly
+    # degenerate; the jz derivative must not depend on the side or on |h|.
+    base = initial_purity_slope(CNOT, DESK)
+
+    def quotient(step):
+        return (initial_purity_slope(CNOT.replace(jz=CNOT.jz + step), DESK) - base) / step
+
+    assert quotient(h) == pytest.approx(quotient(np.copysign(1e-6, h)), rel=1e-2)
