@@ -85,21 +85,23 @@ class HamiltonianParams:
         return cls(**dict(zip(PARAM_NAMES, map(float, values))), t0=t0)
 
 
-def build_hamiltonian(p: HamiltonianParams):
-    """Assemble the 4x4 two-qubit Hamiltonian in physical angular units.
+def build_hamiltonians(controls, t0=1.0):
+    """The Hamiltonians of a stack of control points, in one pass.
 
-    In the standard basis the matrix is
+    ``controls`` has shape (n, 7), or (7,) for one point, ordered like
+    PARAM_NAMES, in reduced units; the result has shape (n, 4, 4), or
+    (4, 4), in physical angular units (entries scaled by pi/t0). In the
+    standard basis each matrix is
 
         [ Jz+e1+e2   D2          D1          Jx-Jy     ]
         [ D2         e1-e2-Jz    Jx+Jy       D1        ]
         [ D1         Jx+Jy       e2-e1-Jz    D2        ]
         [ Jx-Jy      D1          D2          -e1-e2+Jz ]
 
-    times pi/t0. The result is real symmetric, hence Hermitian, and
-    traceless for any parameter values.
+    times pi/t0: real symmetric, hence Hermitian, and traceless.
     """
-    s = p.angular_scale
-    d1, d2, e1, e2, jx, jy, jz = p.as_array() * s
+    x = np.asarray(controls, dtype=float) * (np.pi / t0)
+    d1, d2, e1, e2, jx, jy, jz = x.T
     h = np.array(
         [
             [jz + e1 + e2, d2, d1, jx - jy],
@@ -109,7 +111,12 @@ def build_hamiltonian(p: HamiltonianParams):
         ],
         dtype=complex,
     )
-    return h
+    return h if x.ndim == 1 else h.transpose(2, 0, 1)
+
+
+def build_hamiltonian(p: HamiltonianParams):
+    """The 4x4 Hamiltonian of one control point (see :func:`build_hamiltonians`)."""
+    return build_hamiltonians(p.as_array(), p.t0)
 
 
 def build_hamiltonian_from_paulis(p: HamiltonianParams):
@@ -180,10 +187,19 @@ def eigensystem(h):
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise InvalidParameterError("expected a 4x4 matrix")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-        raise NonHermitianError("input matrix is not Hermitian within 1e-10")
-    energies, vectors = np.linalg.eigh(h)
+    energies, vectors = eigh_stack(h)
     return EigenSystem(energies=energies, vectors=vectors)
+
+
+def eigh_stack(h):
+    """``np.linalg.eigh`` of a Hermitian matrix or a stack of them, in one call.
+
+    Raises NonHermitianError if any matrix deviates from its adjoint by
+    more than 1e-10 in max-norm.
+    """
+    if (np.abs(h - h.conj().swapaxes(-1, -2)) > HERMITICITY_TOL).any():
+        raise NonHermitianError("input matrix is not Hermitian within 1e-10")
+    return np.linalg.eigh(h)
 
 
 def spectrum_optimal_point(p: HamiltonianParams):
@@ -228,22 +244,27 @@ class DegeneracyReport:
         return max(self.pair_gaps)
 
 
+def degeneracy_classes(adjacent, tol):
+    """Classification of spectra from their adjacent gaps, shape (..., 3).
+
+    'double' when the lower and the upper gap are both below ``tol``,
+    else 'single' when any gap is, else 'none'. Returns a string array of
+    the leading shape; ``tol`` is not checked.
+    """
+    degenerate = adjacent < tol
+    double = degenerate[..., 0] & degenerate[..., 2]
+    return np.where(double, "double", np.where(degenerate.any(axis=-1), "single", "none"))
+
+
 def classify_degeneracy(es, tol=DEFAULT_DEGENERACY_TOL):
     """Classify the degeneracy structure of an EigenSystem or energy array."""
     if tol <= 0:
         raise InvalidParameterError("tolerance must be positive")
     energies = es.energies if isinstance(es, EigenSystem) else np.sort(np.asarray(es, dtype=float))
     adjacent = np.diff(energies)
-    pair_gaps = (float(adjacent[0]), float(adjacent[2]))
-    min_gap = float(np.min(adjacent))
-
-    degenerate = adjacent < tol
-    if degenerate[0] and degenerate[2]:
-        classification = "double"
-    elif np.any(degenerate):
-        classification = "single"
-    else:
-        classification = "none"
     return DegeneracyReport(
-        min_gap=min_gap, pair_gaps=pair_gaps, classification=classification, tol=tol
+        min_gap=float(np.min(adjacent)),
+        pair_gaps=(float(adjacent[0]), float(adjacent[2])),
+        classification=str(degeneracy_classes(adjacent, tol)),
+        tol=tol,
     )

@@ -50,7 +50,13 @@ one contraction.
 
 Gate purity is the 16-state average P(t) = (1/16) sum_j Tr[rho_j(t)^2]
 over all disentangled initial product states; its initial slope is
-evaluated analytically from the generator, never by fitting.
+evaluated analytically from the generator, never by fitting. Landscape
+sweeps take the same slope in closed form (``purity_slopes``): in
+operator form the dissipator is D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag]
+with M_a = V (A~_a o S(omega)) V^dag / 4pi, so the 16-state slope is
+-4 sum_a Re Tr(M_a W_a) for constant 4x4 matrices W_a. It is evaluated
+for a whole stack of eigensystems at once and builds neither a
+Liouvillian nor the product states.
 """
 
 from dataclasses import dataclass
@@ -413,6 +419,39 @@ def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
     """
     _, _, lmat = _pipeline(params, nm)
     return _purity_slope(lmat, _product_vecs())
+
+
+#: The bath couplings A_1 = sigma_z (x) 1 and A_2 = 1 (x) sigma_z.
+COUPLINGS = np.array([SZ1, SZ2])
+COUPLINGS.flags.writeable = False
+
+#: W_a = (1/16) sum_j rho_j [rho_j, A_a] over the 16 product states, the
+#: only way the states enter the closed-form slope (``purity_slopes``).
+SLOPE_WEIGHTS = np.mean(
+    [[rho @ (rho @ a - a @ rho) for a in COUPLINGS] for rho in initial_product_states()], axis=0
+)
+SLOPE_WEIGHTS.flags.writeable = False
+
+
+def purity_slopes(energies, vectors, nm: NoiseModel):
+    """Analytic 16-state dP/dt at t = 0 for a stack of eigensystems.
+
+    ``energies`` (..., 4) and ``vectors`` (..., 4, 4) are what
+    ``np.linalg.eigh`` returns for a stack of Hamiltonians (angular
+    units); the result has the leading shape. The dissipator of
+    ``redfield_tensor`` is D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag]
+    with M_a = V (A~_a o S(omega)) V^dag / 4pi, A~_a = V^dag A_a V. The
+    coherent part drops out of d Tr rho^2 / dt, and the 16-state mean is
+    linear in M_a, so the slope is -4 sum_a Re Tr(M_a W_a) with the
+    constant SLOPE_WEIGHTS W_a: no Liouvillian and no product state is
+    built. Equal to :func:`initial_purity_slope` up to rounding.
+    """
+    vh = np.swapaxes(vectors, -1, -2).conj()[..., None, :, :]
+    v = vectors[..., None, :, :]
+    couplings = vh @ COUPLINGS @ v
+    weights = vh @ SLOPE_WEIGHTS @ v
+    s_of_omega = spectral_function(energies[..., :, None] - energies[..., None, :], nm)
+    return -np.einsum("...akm,...amk,...mk->...", weights, couplings, s_of_omega).real / np.pi
 
 
 def _purity_trace(segments, nm: NoiseModel):

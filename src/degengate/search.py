@@ -9,7 +9,9 @@ over a bounded subset of the seven controls, using seeded Sobol restarts
 of a Nelder-Mead simplex; everything is deterministic for a fixed seed.
 The sweep engine evaluates the analytic initial purity-decay rate
 |dP/dt| at t=0 on a 2-D parameter grid, which is the quantity whose
-landscape exhibits minima at the double-degeneracy points.
+landscape exhibits minima at the double-degeneracy points; it works one
+grid row at a time, from one stacked eigendecomposition and the
+closed-form slope.
 """
 
 import warnings
@@ -23,12 +25,15 @@ from .hamiltonian import (
     PARAM_NAMES,
     HamiltonianParams,
     build_hamiltonian,
+    build_hamiltonians,
     classify_degeneracy,
+    degeneracy_classes,
     eigensystem,
+    eigh_stack,
 )
 from .metrics import GateReport, GateTarget, makhlin_invariants, report
 from .noise import NoiseModel
-from .redfield import gate_purity, initial_purity_slope
+from .redfield import gate_purity, initial_purity_slope, purity_slopes
 
 
 def _degeneracy_violation(energies, constraint):
@@ -42,6 +47,11 @@ def _degeneracy_violation(energies, constraint):
     return 0.0
 
 
+def _check_coupling_norm(norm):
+    if norm is not None and not 0.0 <= norm < np.inf:
+        raise InvalidParameterError(f"coupling_norm must be finite and non-negative, got {norm}")
+
+
 @dataclass
 class SearchSpec:
     """Everything a deterministic optimization run needs.
@@ -50,7 +60,8 @@ class SearchSpec:
     rest (unmentioned controls default to zero). ``degeneracy`` is the
     spectral constraint to enforce ('none', 'single' or 'double') through
     a quadratic gap penalty, and ``coupling_norm``, when set, fixes
-    |J| = sqrt(jx^2+jy^2+jz^2) by rescaling the couplings.
+    |J| = sqrt(jx^2+jy^2+jz^2) by rescaling the couplings; it must be
+    finite and non-negative.
     """
 
     target: str
@@ -82,6 +93,7 @@ class SearchSpec:
             raise InvalidParameterError("degeneracy must be none, single or double")
         if self.restarts < 1 or self.max_iter < 1:
             raise InvalidParameterError("restarts and max_iter must be at least 1")
+        _check_coupling_norm(self.coupling_norm)
 
 
 @dataclass(frozen=True)
@@ -217,9 +229,10 @@ class SweepGrid:
     """A 2-D grid over two controls with the rest fixed or closed.
 
     ``closure='jx_from_norm'`` solves jx >= 0 from the fixed coupling
-    norm |J| at every cell; cells with jy^2 + jz^2 > |J|^2 are marked
-    infeasible. ``degeneracy_tol`` (reduced units) is the classification
-    tolerance used for labelling grid cells, necessarily coarser than the
+    norm |J| (finite and non-negative) at every cell; cells with
+    jy^2 + jz^2 > |J|^2 are marked infeasible. ``degeneracy_tol``
+    (reduced units, positive and finite) is the classification tolerance
+    used for labelling grid cells, necessarily coarser than the
     exact-degeneracy default because grid points only approach the
     degeneracy manifolds.
     """
@@ -241,21 +254,37 @@ class SweepGrid:
             raise InvalidParameterError("closure must be None or 'jx_from_norm'")
         if self.closure == "jx_from_norm" and self.coupling_norm is None:
             raise InvalidParameterError("closure requires coupling_norm")
+        _check_coupling_norm(self.coupling_norm)
+        if not 0.0 < self.degeneracy_tol < np.inf:
+            raise InvalidParameterError(
+                f"degeneracy_tol must be positive and finite, got {self.degeneracy_tol}"
+            )
         self.values1 = np.asarray(self.values1, dtype=float)
         self.values2 = np.asarray(self.values2, dtype=float)
         if self.values1.size == 0 or self.values2.size == 0:
             raise InvalidParameterError("each grid axis needs at least one value")
+        if not np.all(np.isfinite([*self.values1, *self.values2, *self.fixed.values()])):
+            raise InvalidParameterError("grid values and fixed controls must be finite")
 
-    def cell_params(self, v1, v2):
-        values = dict(self.fixed)
-        values[self.param1] = float(v1)
-        values[self.param2] = float(v2)
+    def row_controls(self, i):
+        """Controls of the cells of row ``i``, shape (len(values2), 7).
+
+        Returns the controls (ordered like PARAM_NAMES, jx closed where
+        the closure is on) and the boolean mask of the cells the closure
+        allows.
+        """
+        controls = np.zeros((len(self.values2), len(PARAM_NAMES)))
+        for name, value in self.fixed.items():
+            controls[:, PARAM_NAMES.index(name)] = value
+        controls[:, PARAM_NAMES.index(self.param1)] = self.values1[i]
+        controls[:, PARAM_NAMES.index(self.param2)] = self.values2
+        allowed = np.ones(len(self.values2), dtype=bool)
         if self.closure == "jx_from_norm":
-            residual = self.coupling_norm**2 - values.get("jy", 0.0) ** 2 - values.get("jz", 0.0) ** 2
-            if residual < 0:
-                return None
-            values["jx"] = np.sqrt(residual)
-        return HamiltonianParams(**{n: values.get(n, 0.0) for n in PARAM_NAMES})
+            jy, jz = controls[:, PARAM_NAMES.index("jy")], controls[:, PARAM_NAMES.index("jz")]
+            residual = self.coupling_norm**2 - jy**2 - jz**2
+            allowed = residual >= 0
+            controls[allowed, PARAM_NAMES.index("jx")] = np.sqrt(residual[allowed])
+        return controls, allowed
 
 
 @dataclass(frozen=True)
@@ -312,32 +341,28 @@ class SweepResult:
         return records
 
 
-def _sweep_cell(grid, nm, v1, v2):
-    params = grid.cell_params(v1, v2)
-    if params is None:
-        return (np.nan, "none", np.nan, np.nan, np.nan, False, "infeasible: |J| closure")
-    try:
-        es = eigensystem(build_hamiltonian(params))
-        rep = classify_degeneracy(es, tol=grid.degeneracy_tol * np.pi)
-        rate = abs(initial_purity_slope(params, nm))
-        return (
-            rate,
-            rep.classification,
-            rep.min_gap / np.pi,
-            rep.pair_gap_measure / np.pi,
-            rep.pair_gaps[0] / np.pi,
-            True,
-            "",
-        )
-    except (DegengateError, np.linalg.LinAlgError) as exc:  # numerical failures stay per cell
-        return (np.nan, "none", np.nan, np.nan, np.nan, False, f"error: {exc}")
+def _sweep_cells(controls, nm, tol):
+    """|dP/dt| at t=0, degeneracy class and adjacent gaps of (n, 7) controls.
+
+    One stacked ``eigh`` and one closed-form slope kernel for all n cells.
+    """
+    energies, vectors = eigh_stack(build_hamiltonians(controls))
+    adjacent = np.diff(energies, axis=-1)
+    return np.abs(purity_slopes(energies, vectors, nm)), degeneracy_classes(adjacent, tol), adjacent
 
 
 def sweep(grid: SweepGrid, nm: NoiseModel):
     """Evaluate |dP/dt| at t=0 and degeneracy diagnostics on every cell.
 
-    Cells are evaluated one after another in index order: each cell is a
-    few small numpy calls, and a thread pool made the sweep slower.
+    The grid is evaluated one row at a time: the row's feasible cells are
+    diagonalized together by one ``np.linalg.eigh`` call on their stacked
+    Hamiltonians, and their rates come from the closed-form slope kernel
+    ``purity_slopes``, so no Liouvillian, product state or cached
+    ``_pipeline`` entry is built, and memory does not grow with the grid.
+    A row that raises a numerical failure (DegengateError or LinAlgError)
+    is redone cell by cell, and only the failing cells are marked
+    infeasible with ``error: ...`` as their reason; any other exception
+    propagates.
     """
     n1, n2 = len(grid.values1), len(grid.values2)
     decay = np.full((n1, n2), np.nan)
@@ -347,11 +372,28 @@ def sweep(grid: SweepGrid, nm: NoiseModel):
     ground_gap = np.full((n1, n2), np.nan)
     feasible = np.zeros((n1, n2), dtype=bool)
     reason = np.full((n1, n2), "", dtype=object)
+    tol = grid.degeneracy_tol * np.pi
 
-    for i, v1 in enumerate(grid.values1):
-        for j, v2 in enumerate(grid.values2):
-            (decay[i, j], classification[i, j], min_gap[i, j], pair_gap[i, j],
-             ground_gap[i, j], feasible[i, j], reason[i, j]) = _sweep_cell(grid, nm, v1, v2)
+    for i in range(n1):
+        controls, allowed = grid.row_controls(i)
+        reason[i, ~allowed] = "infeasible: |J| closure"
+        cells = np.flatnonzero(allowed)
+        try:
+            done = [(cells, _sweep_cells(controls[cells], nm, tol))]
+        except (DegengateError, np.linalg.LinAlgError):  # numerical failures stay per cell
+            done = []
+            for j in cells:
+                try:
+                    done.append(([j], _sweep_cells(controls[[j]], nm, tol)))
+                except (DegengateError, np.linalg.LinAlgError) as exc:
+                    reason[i, j] = f"error: {exc}"
+        for js, (rate, classes, adjacent) in done:
+            decay[i, js] = rate
+            classification[i, js] = classes
+            min_gap[i, js] = adjacent.min(axis=-1) / np.pi
+            pair_gap[i, js] = np.maximum(adjacent[:, 0], adjacent[:, 2]) / np.pi
+            ground_gap[i, js] = adjacent[:, 0] / np.pi
+            feasible[i, js] = True
     return SweepResult(
         grid=grid,
         decay_rate=decay,

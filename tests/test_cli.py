@@ -112,6 +112,14 @@ class TestConfigHandling:
         "purity-weight-nan": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
                                                         "purity_weight": float("nan")}}, "NaN"),
         "sweep-tol-nan": ("sweep", {"sweep": {**SWEEP, "degeneracy_tol": float("nan")}}, "NaN"),
+        "sweep-tol-zero": ("sweep", {"sweep": {**SWEEP, "degeneracy_tol": 0}}, "degeneracy_tol"),
+        "sweep-tol-negative": ("sweep", {"sweep": {**SWEEP, "degeneracy_tol": -0.1}},
+                               "degeneracy_tol"),
+        "sweep-norm-negative": ("sweep", {"sweep": {**SWEEP, "closure": "jx_from_norm",
+                                                    "coupling_norm": -2.0}}, "coupling_norm"),
+        "optimize-norm-negative": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
+                                                             "coupling_norm": -0.75}},
+                                   "coupling_norm"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

@@ -10,7 +10,12 @@ from degengate import (
     spectrum_optimal_point,
 )
 from degengate.errors import InvalidParameterError, NonHermitianError
-from degengate.hamiltonian import build_hamiltonian_from_paulis
+from degengate.hamiltonian import (
+    build_hamiltonian_from_paulis,
+    build_hamiltonians,
+    degeneracy_classes,
+    eigh_stack,
+)
 
 from conftest import random_hermitian, random_params
 
@@ -155,9 +160,33 @@ class TestEigensystem:
                 spectrum_optimal_point(p), es.energies, atol=1e-10
             )
 
+    def test_stack_matches_single_points(self, rng):
+        t0 = 0.7
+        points = [random_params(rng, t0=t0) for _ in range(50)]
+        stack = build_hamiltonians(np.array([p.as_array() for p in points]), t0)
+        assert stack.shape == (50, 4, 4)
+        for h, p in zip(stack, points):
+            np.testing.assert_array_equal(h, build_hamiltonian(p))
+
     def test_optimal_point_requires_zero_bias(self):
         with pytest.raises(InvalidParameterError):
             spectrum_optimal_point(HamiltonianParams(eps1=0.1))
+
+
+class TestEighStack:
+    def test_stack_matches_eigensystem(self, rng):
+        hs = np.array([random_hermitian(rng) for _ in range(10)])
+        energies, vectors = eigh_stack(hs)
+        for h, e, v in zip(hs, energies, vectors):
+            es = eigensystem(h)
+            np.testing.assert_array_equal(e, es.energies)
+            np.testing.assert_array_equal(v, es.vectors)
+
+    def test_one_non_hermitian_matrix_rejected(self, rng):
+        hs = np.array([random_hermitian(rng) for _ in range(3)])
+        hs[1, 0, 1] += 1e-6
+        with pytest.raises(NonHermitianError):
+            eigh_stack(hs)
 
 
 class TestClassifyDegeneracy:
@@ -185,6 +214,19 @@ class TestClassifyDegeneracy:
             )
             rep = classify_degeneracy(eigensystem(build_hamiltonian(p)), 1e-8)
             assert rep.classification == "double"
+
+    def test_stacked_rule_matches(self, rng):
+        # Random spectra with pairs pulled together, classified as a stack
+        # and one by one.
+        energies = np.sort(rng.uniform(-1.0, 1.0, size=(400, 4)), axis=1)
+        close = rng.random(size=(400, 3)) < 0.4
+        adjacent = np.where(close, 1e-9, np.diff(energies, axis=1))
+        energies = np.concatenate([energies[:, :1], energies[:, :1] + np.cumsum(adjacent, axis=1)],
+                                  axis=1)
+        classes = degeneracy_classes(np.diff(energies, axis=1), 1e-6)
+        assert set(classes) == {"none", "single", "double"}
+        for e, cls in zip(energies, classes):
+            assert classify_degeneracy(e, 1e-6).classification == cls
 
     def test_tolerance_positive(self):
         with pytest.raises(InvalidParameterError):

@@ -28,6 +28,7 @@ from degengate.redfield import (
     _generator,
     _pipeline,
     _purity_trace,
+    purity_slopes,
 )
 from degengate.hamiltonian import PARAM_NAMES, EigenSystem
 
@@ -519,3 +520,42 @@ class TestSequencePurity:
             sequence_gate_purity([(h, 0.5), (2 * h, 0.25)], DESK)
         assert err.value.state_index == 0
         assert str(err.value).startswith("state 0: ")
+
+
+class TestClosedFormSlope:
+    """``purity_slopes`` against ``initial_purity_slope``, its per-state reference."""
+
+    @staticmethod
+    def _kernel(params, nm):
+        es = eigensystem(build_hamiltonian(params))
+        return float(purity_slopes(es.energies, es.vectors, nm))
+
+    def test_matches_initial_purity_slope_on_random_points(self, rng):
+        cold = NoiseModel.from_reduced(alpha=0.02, temperature=0.0)
+        for k in range(240):
+            params = random_params(rng, scale=2.0, t0=rng.uniform(0.5, 2.0))
+            nm = DESK if k % 2 else cold
+            assert self._kernel(params, nm) == pytest.approx(
+                initial_purity_slope(params, nm), rel=1e-12)
+
+    @pytest.mark.parametrize("params", [CNOT_REFINED, BGATE, BGATE_X4],
+                             ids=["cnot", "bgate", "bgate-x4"])
+    def test_matches_at_degeneracy_points(self, params):
+        for nm in (DESK, NoiseModel.from_reduced(alpha=0.01, temperature=0.0)):
+            assert self._kernel(params, nm) == pytest.approx(
+                initial_purity_slope(params, nm), rel=1e-12)
+
+    def test_zero_coupling_gives_zero(self, rng):
+        nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
+        for params in (CNOT_REFINED, BGATE, random_params(rng)):
+            assert self._kernel(params, nm0) == 0.0
+            assert initial_purity_slope(params, nm0) == pytest.approx(0.0, abs=1e-14)
+
+    def test_stack_matches_single_points(self, rng):
+        points = [random_params(rng) for _ in range(12)]
+        hs = np.array([build_hamiltonian(p) for p in points])
+        energies, vectors = np.linalg.eigh(hs)
+        stacked = purity_slopes(energies, vectors, DESK)
+        assert stacked.shape == (12,)
+        single = [self._kernel(p, DESK) for p in points]
+        np.testing.assert_allclose(stacked, single, rtol=1e-13, atol=0)

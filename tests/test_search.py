@@ -6,8 +6,11 @@ from degengate import (
     NoiseModel,
     SearchSpec,
     SweepGrid,
+    build_hamiltonian,
     calibrate,
+    classify_degeneracy,
     degeneracy_break_probe,
+    eigensystem,
     fig1_grid,
     initial_purity_slope,
     onestep_bgate,
@@ -18,6 +21,8 @@ from degengate import (
     sweep,
 )
 from degengate.errors import InvalidParameterError, StateValidityError
+from degengate.redfield import purity_slopes
+from degengate.search import _spec_params
 
 DESK = NoiseModel.from_reduced()
 
@@ -36,6 +41,18 @@ class TestOptimize:
             SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, max_iter=0)
         with pytest.raises(InvalidParameterError):
             SearchSpec(target="CNOT", bounds={})
+
+    @pytest.mark.parametrize("norm", [-0.75, -1e-300, np.nan, np.inf])
+    def test_bad_coupling_norm_rejected(self, norm):
+        with pytest.raises(InvalidParameterError, match="coupling_norm"):
+            SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, coupling_norm=norm)
+
+    def test_coupling_norm_keeps_coupling_signs(self):
+        spec = SearchSpec(target="CNOT", bounds={"jx": (0, 1), "jy": (0, 1), "jz": (0, 1)},
+                          coupling_norm=0.75)
+        p = _spec_params(spec, [0.2, 0.3, 0.4])
+        assert p.coupling_norm == pytest.approx(0.75)
+        assert min(p.jx, p.jy, p.jz) > 0
 
     def test_swap_recovery_heisenberg(self):
         spec = SearchSpec(
@@ -141,6 +158,25 @@ class TestOptimize:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("tol", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_degeneracy_tol_rejected(self, tol):
+        with pytest.raises(InvalidParameterError, match="degeneracy_tol"):
+            SweepGrid(param1="jy", param2="jz", values1=[0.5], values2=[0.5], degeneracy_tol=tol)
+
+    @pytest.mark.parametrize("norm", [-1.5, np.nan, np.inf])
+    def test_bad_coupling_norm_rejected(self, norm):
+        with pytest.raises(InvalidParameterError, match="coupling_norm"):
+            SweepGrid(param1="jy", param2="jz", values1=[0.5], values2=[0.5],
+                      closure="jx_from_norm", coupling_norm=norm)
+
+    @pytest.mark.parametrize("values", [
+        {"values1": [0.5, np.nan]}, {"values2": [np.inf]}, {"fixed": {"delta1": np.nan}},
+    ], ids=["nan-axis1", "inf-axis2", "nan-fixed"])
+    def test_non_finite_values_rejected(self, values):
+        kwargs = {"values1": [0.5], "values2": [0.5], **values}
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SweepGrid(param1="jy", param2="jz", **kwargs)
+
     @pytest.mark.parametrize("axis", ["values1", "values2"])
     def test_empty_axis_rejected(self, axis):
         values = {"values1": [0.5, 1.0], "values2": [0.5, 1.0], axis: []}
@@ -200,20 +236,20 @@ class TestSweep:
     def test_programming_error_propagates(self, monkeypatch):
         import degengate.search as search_mod
 
-        def broken(params, nm):
+        def broken(energies, vectors, nm):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setattr(search_mod, "initial_purity_slope", broken)
+        monkeypatch.setattr(search_mod, "purity_slopes", broken)
         with pytest.raises(TypeError):
             sweep(fig1_grid(n=3), DESK)
 
     def test_numerical_failure_marks_cell(self, monkeypatch):
         import degengate.search as search_mod
 
-        def invalid(params, nm):
+        def invalid(energies, vectors, nm):
             raise StateValidityError("trace deviates from 1", state_index=3)
 
-        monkeypatch.setattr(search_mod, "initial_purity_slope", invalid)
+        monkeypatch.setattr(search_mod, "purity_slopes", invalid)
         res = sweep(fig1_grid(n=3), DESK)
         failed = np.array([str(r).startswith("error: trace deviates") for r in res.reason.flat])
         assert failed.any()
@@ -221,6 +257,80 @@ class TestSweep:
         assert np.all(failed | closure)
         assert not res.feasible.any()
         assert np.all(np.isnan(res.decay_rate))
+
+    def test_linalg_error_marks_only_its_cell(self, monkeypatch):
+        # The failing cell's row is redone cell by cell; its neighbours keep
+        # their rates and the other rows never leave the batched path.
+        import degengate.search as search_mod
+
+        grid = fig1_grid(n=9)
+        clean = sweep(grid, DESK)
+        i, j = 4, 3
+        assert clean.feasible[i].sum() > 1 and clean.feasible[i, j]
+        bad_energies = np.linalg.eigh(search_mod.build_hamiltonians(grid.row_controls(i)[0][j]))[0]
+        calls = []
+
+        def failing(energies, vectors, nm):
+            calls.append(len(energies))
+            if np.any(np.all(energies == bad_energies, axis=-1)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return purity_slopes(energies, vectors, nm)
+
+        monkeypatch.setattr(search_mod, "purity_slopes", failing)
+        res = sweep(grid, DESK)
+        assert res.reason[i, j] == "error: Eigenvalues did not converge"
+        assert not res.feasible[i, j] and np.isnan(res.decay_rate[i, j])
+        others = np.ones((9, 9), dtype=bool)
+        others[i, j] = False
+        np.testing.assert_array_equal(res.feasible[others], clean.feasible[others])
+        np.testing.assert_array_equal(res.reason[others], clean.reason[others])
+        np.testing.assert_allclose(res.decay_rate[others], clean.decay_rate[others],
+                                   rtol=1e-13, atol=0)
+        # one batch per row, plus one call per feasible cell of row i
+        assert len(calls) == 9 + clean.feasible[i].sum()
+
+    def test_fig1_matches_per_cell_reference(self):
+        # Reference: every cell on its own through eigensystem,
+        # classify_degeneracy and initial_purity_slope.
+        grid = fig1_grid()
+        nm = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
+        res = sweep(grid, nm)
+        tol = grid.degeneracy_tol * np.pi
+        for i, v1 in enumerate(grid.values1):
+            for j, v2 in enumerate(grid.values2):
+                residual = grid.coupling_norm**2 - v1**2 - v2**2
+                if residual < 0:
+                    assert not res.feasible[i, j] and res.reason[i, j] == "infeasible: |J| closure"
+                    assert np.isnan(res.decay_rate[i, j]) and res.classification[i, j] == "none"
+                    continue
+                params = HamiltonianParams(delta1=1.0, delta2=1.0, jx=np.sqrt(residual),
+                                           jy=v1, jz=v2)
+                rep = classify_degeneracy(eigensystem(build_hamiltonian(params)), tol)
+                assert res.feasible[i, j] and res.reason[i, j] == ""
+                assert res.classification[i, j] == rep.classification
+                assert res.min_gap[i, j] == rep.min_gap / np.pi
+                assert res.pair_gap[i, j] == rep.pair_gap_measure / np.pi
+                assert res.ground_gap[i, j] == rep.pair_gaps[0] / np.pi
+                assert res.decay_rate[i, j] == pytest.approx(
+                    abs(initial_purity_slope(params, nm)), rel=1e-13)
+        assert res.argmin_cells(1e-12) == {(10, 38)}
+
+    def test_sweep_bypasses_the_per_point_path(self, monkeypatch):
+        # Sweeps use the batched kernel: no _pipeline lookup and no
+        # initial_purity_slope call, under any name.
+        import degengate
+        import degengate.redfield as redfield_mod
+        import degengate.search as search_mod
+
+        def per_point(params, nm):
+            raise AssertionError("sweep called initial_purity_slope")
+
+        for module in (degengate, redfield_mod, search_mod):
+            monkeypatch.setattr(module, "initial_purity_slope", per_point)
+        before = redfield_mod._pipeline.cache_info()
+        res = sweep(fig1_grid(n=7), DESK)
+        assert res.feasible.any()
+        assert redfield_mod._pipeline.cache_info() == before
 
     def test_records_roundtrip(self):
         grid = fig1_grid(n=5)
