@@ -174,10 +174,11 @@ def eigensystem(h):
 
     Eigenvalues come out ascending; the eigenvectors are those of
     ``np.linalg.eigh``, with whatever phases, and whatever rotation inside
-    a degenerate subspace, LAPACK returns. Eigenbasis quantities
-    (``lambda_rates``, ``redfield_tensor``) depend on that choice; the
-    standard-basis generator K L_eig K^dag that every state is propagated
-    under does not.
+    a degenerate subspace, LAPACK returns. The eigenbasis reference form of
+    the dissipator (``lambda_rates``, ``redfield_tensor``) depends on that
+    choice; the operators M_a = V (A~_a o S(omega)) V^dag / 4pi, and so the
+    operator-form standard-basis generator every state is propagated under,
+    do not.
 
     Raises
     ------

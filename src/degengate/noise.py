@@ -56,8 +56,11 @@ class NoiseModel:
         """Build from reduced (pi/t0) units, the units of the control values.
 
         The defaults are the package's desk-scale noise: alpha = 0.01,
-        T = 0.2 and wc = 20 in units of pi/t0.
+        T = 0.2 and wc = 20 in units of pi/t0. ``t0`` must be positive and
+        finite.
         """
+        if not 0.0 < t0 < np.inf:
+            raise InvalidParameterError(f"t0 must be positive and finite, got {t0}")
         scale = np.pi / t0
         return cls(alpha=alpha, temperature=temperature * scale, cutoff=cutoff * scale)
 

@@ -1,33 +1,42 @@
-"""Bloch-Redfield relaxation tensor, propagation, and gate purity.
+"""Bloch-Redfield generator, propagation, and gate purity.
 
-In the eigenbasis of the two-qubit Hamiltonian the reduced density matrix
-obeys
+Each qubit couples through A_1 = sigma_z (x) 1 and A_2 = 1 (x) sigma_z to
+its own bath. With the eigensystem H = V E V^dag, the transition
+frequencies omega_nm = E_n - E_m and the bath spectral function S, the
+dissipator has the operator form (Breuer & Petruccione, ch. 3)
 
-    drho_nm/dt = -i w_nm rho_nm - sum_kl R_nmkl rho_kl,
+    D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag],
+    M_a = V (A~_a o S(omega)) V^dag / 4pi,   A~_a = V^dag A_a V,
 
-with partial rates built from the bath spectral function,
+where o is the elementwise product (``_dissipators``). Lamb shifts (the
+imaginary part of the rates) are not implemented. Every generator the
+module propagates is built from the M_a directly in the standard basis,
+on row-major vec(rho) (``_generators``):
 
-    Lambda_lmnk = (1/4pi) S(w_nk) [sz1_lm sz1_nk + sz2_lm sz2_nk],
+    L = X (x) 1 + 1 (x) Y^T + sum_a (A_a (x) M_a* + M_a (x) A_a),
+    X = -iH - sum_a A_a M_a,   Y = iH - sum_a M_a^dag A_a.
 
-where sz1, sz2 are the sigma_z couplings of the two independent baths in
-the eigenbasis, and the relaxation tensor contracts them as
+M_a, and so L, does not change under the eigenvector phases or under a
+rotation inside a degenerate subspace, so any eigenbasis ``eigh``
+returns gives the same results. Every state the module propagates,
+validates or returns is in the standard basis.
+
+The same dissipator written in the eigenbasis is the reference form the
+tests compare L against: partial rates
+
+    Lambda_lmnk = (1/4pi) S(w_nk) [sz1_lm sz1_nk + sz2_lm sz2_nk]
+
+(``lambda_rates``), contracted into the relaxation tensor
 
     R_nmkl = d_lm sum_r Lambda_nrrk + d_nk sum_r Lambda*_mrrl
-             - Lambda_lmnk - Lambda*_knml.
+             - Lambda_lmnk - Lambda*_knml
 
-The conjugated terms carry mirrored indices; with this pairing the
-generator preserves trace and Hermiticity identically for any Lambda,
-which the tests require at the 1e-10 level. Lamb shifts (the imaginary
-part of Lambda) are not implemented.
-
-The master equation is written in the eigenbasis, but its generator is
-rotated once into the standard basis (``_generator``),
-L_std = kron(V, V*) L_eig kron(V^dag, V^T) on row-major vec(rho). Every
-state the module propagates, validates or returns is in the standard
-basis (purity traces carry it as Pauli coefficients, below); no state is
-moved into an eigenbasis. L_std does not change under the eigenvector
-phases or under a rotation inside a degenerate subspace, so any
-eigenbasis ``eigh`` returns gives the same results.
+(``redfield_tensor``) of drho_nm/dt = -i w_nm rho_nm - sum_kl R_nmkl rho_kl
+(``RedfieldTensor.liouvillian``). Rotated to the standard basis,
+kron(V, V*) L_eig kron(V^dag, V^T) equals L up to rounding. The conjugated
+terms carry mirrored indices; with this pairing the generator preserves
+trace and Hermiticity identically for any Lambda, which the tests
+require at the 1e-10 level.
 
 Purity traces propagate the 16 product states as real Pauli-coefficient
 (Bloch) vectors c_a = Tr(sigma_a rho) over the 16 two-qubit Paulis:
@@ -51,12 +60,11 @@ one contraction.
 Gate purity is the 16-state average P(t) = (1/16) sum_j Tr[rho_j(t)^2]
 over all disentangled initial product states; its initial slope is
 evaluated analytically from the generator, never by fitting. Landscape
-sweeps take the same slope in closed form (``purity_slopes``): in
-operator form the dissipator is D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag]
-with M_a = V (A~_a o S(omega)) V^dag / 4pi, so the 16-state slope is
--4 sum_a Re Tr(M_a W_a) for constant 4x4 matrices W_a. It is evaluated
-for a whole stack of eigensystems at once and builds neither a
-Liouvillian nor the product states.
+sweeps take the same slope in closed form (``purity_slopes``): the
+coherent part drops out of d Tr rho^2 / dt and the 16-state mean is
+linear in M_a, so the slope is -4 sum_a Re Tr(M_a W_a) for constant 4x4
+matrices W_a. It is evaluated for a whole stack of eigensystems at once
+and builds neither a Liouvillian nor the product states.
 """
 
 from dataclasses import dataclass
@@ -70,11 +78,16 @@ from .errors import (
     InvalidParameterError,
     StateValidityError,
 )
-from .hamiltonian import EigenSystem, HamiltonianParams, build_hamiltonian, eigensystem
+from .hamiltonian import EigenSystem, HamiltonianParams, build_hamiltonian, eigh_stack
 from .noise import NoiseModel, spectral_function
 from .pauli import SZ1, SZ2, pauli_tensor
 
 LAMBDA_PREFACTOR = 1.0 / (4.0 * np.pi)
+
+#: The bath couplings A_1 = sigma_z (x) 1 and A_2 = 1 (x) sigma_z are real
+#: and diagonal; row a holds the diagonal of A_a.
+COUPLINGS = np.array([SZ1.diagonal().real, SZ2.diagonal().real])
+COUPLINGS.flags.writeable = False
 
 #: Ratio between the relaxation rate this tensor actually produces for a
 #: single qubit at its optimal point and the quoted identity (pi/2) S(Delta)
@@ -178,9 +191,11 @@ def initial_product_states():
 def lambda_rates(es: EigenSystem, nm: NoiseModel):
     """Partial transition rates Lambda_lmnk in the eigenbasis.
 
-    The tensor is complex in general: it follows the phases and the
-    degenerate-subspace rotation of ``es.vectors``. The standard-basis
-    generator built from it does not depend on that choice of basis.
+    The first step of the eigenbasis reference form of the dissipator
+    (module docstring); no propagation path uses it. The tensor is complex
+    in general: it follows the phases and the degenerate-subspace rotation
+    of ``es.vectors``. The standard-basis generator built from it does not
+    depend on that choice of basis.
     """
     a1 = es.to_eigenbasis(SZ1)
     a2 = es.to_eigenbasis(SZ2)
@@ -192,7 +207,11 @@ def lambda_rates(es: EigenSystem, nm: NoiseModel):
 
 @dataclass(frozen=True)
 class RedfieldTensor:
-    """Relaxation tensor R_nmkl plus the transition frequencies it pairs with."""
+    """Relaxation tensor R_nmkl plus the transition frequencies it pairs with.
+
+    The eigenbasis reference form of the generator; rotated to the standard
+    basis it equals the operator-form L of ``_generators`` up to rounding.
+    """
 
     tensor: np.ndarray
     omega: np.ndarray
@@ -207,7 +226,8 @@ def redfield_tensor(lam, omega=None):
     """Contract partial rates into the relaxation tensor R_nmkl.
 
     ``omega`` (4x4 transition-frequency matrix) is carried along for the
-    generator; pass it when building a tensor for propagation.
+    generator; pass it when building the full reference generator
+    (:meth:`RedfieldTensor.liouvillian`).
     """
     eye = np.eye(4)
     g_plus = np.einsum("nrrk->nk", lam)
@@ -223,34 +243,54 @@ def redfield_tensor(lam, omega=None):
     return RedfieldTensor(tensor=r, omega=np.asarray(omega, dtype=float))
 
 
-def _standard_liouvillian(es: EigenSystem, tensor: RedfieldTensor):
-    """The eigenbasis generator of ``tensor`` rotated to the standard basis.
+def _dissipators(energies, vectors, nm: NoiseModel):
+    """The operators M_a = V (A~_a o S(omega)) V^dag / 4pi of a stack of eigensystems.
 
-    On row-major vec(rho), vec(V rho V^dag) = K vec(rho) with K = kron(V, V*),
-    so L_std = K L_eig K^dag (K^dag = kron(V^dag, V^T)).
+    ``energies`` (..., 4) and ``vectors`` (..., 4, 4) are what
+    ``np.linalg.eigh`` returns for a stack of Hamiltonians (angular units);
+    the result has shape (..., 2, 4, 4), one M_a per bath coupling A_a.
+    The dissipator is D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag].
     """
-    v = es.vectors
-    k = np.kron(v, v.conj())
-    return k @ tensor.liouvillian() @ k.conj().T
+    vh = np.swapaxes(vectors, -1, -2).conj()[..., None, :, :]
+    v = vectors[..., None, :, :]
+    s = LAMBDA_PREFACTOR * spectral_function(energies[..., :, None] - energies[..., None, :], nm)
+    return v @ ((vh * COUPLINGS[:, None, :]) @ v * s[..., None, :, :]) @ vh
 
 
-def _generator(h, nm: NoiseModel):
-    """(eigensystem, RedfieldTensor, standard-basis Liouvillian) of Hamiltonian ``h``."""
-    es = eigensystem(h)
-    tensor = redfield_tensor(lambda_rates(es, nm), omega=es.omega)
-    return es, tensor, _standard_liouvillian(es, tensor)
+def _generators(h, nm: NoiseModel):
+    """(energies, vectors, L) of a stack of Hamiltonians ``h``, shape (..., 4, 4).
+
+    L, shape (..., 16, 16), is the standard-basis generator on row-major
+    vec(rho), L = X (x) 1 + 1 (x) Y^T + sum_a (A_a (x) M_a* + M_a (x) A_a)
+    with the ``_dissipators`` M_a (module docstring). With A_a = diag(a_a)
+    the Kronecker products are broadcasts against the identity:
+    L[ij, kl] = G_ijk d_jl + d_ik G*_jil with
+    G_ijk = -i H_ik - sum_a (a_ai - a_aj) M_a,ik. The X (x) 1 and
+    M_a (x) A_a terms make the first part; for Hermitian H the 1 (x) Y^T
+    and A_a (x) M_a* terms are its conjugate with i and j exchanged. ``h``
+    must pass the ``eigh_stack`` Hermiticity check.
+    """
+    energies, vectors = eigh_stack(h)
+    m = _dissipators(energies, vectors, nm)
+    a = COUPLINGS[:, :, None] - COUPLINGS[:, None, :]
+    g = -1j * h[..., :, None, :] - np.einsum("aij,...aik->...ijk", a, m)
+    eye = np.eye(4)
+    swapped = np.swapaxes(g, -2, -3).conj()
+    lmat = g[..., None] * eye[:, None, :] + swapped[..., None, :] * eye[:, None, :, None]
+    return energies, vectors, lmat.reshape(h.shape[:-2] + (16, 16))
 
 
 @lru_cache(maxsize=256)
 def _pipeline(params: HamiltonianParams, nm: NoiseModel):
-    """Cached ``_generator`` output for a configuration.
+    """Cached (EigenSystem, standard-basis Liouvillian) of a configuration.
 
-    Every caller shares the returned arrays, so they are read-only.
+    Both come from one ``_generators`` call. Every caller shares the
+    returned arrays, so they are read-only.
     """
-    es, tensor, lmat = _generator(build_hamiltonian(params), nm)
-    for arr in (es.energies, es.vectors, tensor.tensor, tensor.omega, lmat):
+    energies, vectors, lmat = _generators(build_hamiltonian(params), nm)
+    for arr in (energies, vectors, lmat):
         arr.flags.writeable = False
-    return es, tensor, lmat
+    return EigenSystem(energies=energies, vectors=vectors), lmat
 
 
 #: Samples ``_evolve`` advances per batched product; its stack of
@@ -327,15 +367,16 @@ class Trajectory:
         return DensityMatrix(self.matrices[-1])
 
 
-def propagate(rho0: DensityMatrix, es: EigenSystem, tensor: RedfieldTensor,
+def propagate(rho0: DensityMatrix, params: HamiltonianParams, nm: NoiseModel,
               t_final, dt, validate=True, eigen_floor=EIGENVALUE_FLOOR):
     """Propagate the master equation for one state, sampled on a fixed grid.
 
-    ``tensor`` is built in the eigenbasis of ``es``; its generator is
-    rotated once to the standard basis, and the state is propagated
-    exactly there (see ``_evolve``), sampled every ``dt``. The repeated
-    propagator must agree with a single expm over ``t_final`` to 1e-8 in
-    max-norm. The trajectory's matrices are in the standard basis.
+    The state evolves exactly (see ``_evolve``) under the configuration's
+    cached standard-basis generator (``_pipeline``), sampled every ``dt``
+    rounded to fit ``t_final``. The repeated propagator must agree with a
+    single expm over ``t_final`` to 1e-8 in max-norm. With ``validate``
+    the final state must pass :meth:`DensityMatrix.validate` with
+    ``eigen_floor``. The trajectory's matrices are in the standard basis.
     """
     _check_times(t_final, dt)
     n_steps, dt = _grid(t_final, dt)
@@ -344,7 +385,7 @@ def propagate(rho0: DensityMatrix, es: EigenSystem, tensor: RedfieldTensor,
     def record(start, block):
         history[start:start + len(block)] = block
 
-    _evolve(_standard_liouvillian(es, tensor), rho0.matrix.reshape(16), dt, n_steps, record)
+    _evolve(_pipeline(params, nm)[1], rho0.matrix.reshape(16), dt, n_steps, record)
 
     times = np.arange(n_steps + 1) * dt
     traj = Trajectory(times=times, matrices=history.reshape(n_steps + 1, 4, 4))
@@ -417,18 +458,13 @@ def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
     Computed as (1/16) sum_j 2 Re Tr(rho_j drho_j/dt) from the generator's
     right-hand side; no propagation or fitting involved.
     """
-    _, _, lmat = _pipeline(params, nm)
-    return _purity_slope(lmat, _product_vecs())
+    return _purity_slope(_pipeline(params, nm)[1], _product_vecs())
 
-
-#: The bath couplings A_1 = sigma_z (x) 1 and A_2 = 1 (x) sigma_z.
-COUPLINGS = np.array([SZ1, SZ2])
-COUPLINGS.flags.writeable = False
 
 #: W_a = (1/16) sum_j rho_j [rho_j, A_a] over the 16 product states, the
 #: only way the states enter the closed-form slope (``purity_slopes``).
 SLOPE_WEIGHTS = np.mean(
-    [[rho @ (rho @ a - a @ rho) for a in COUPLINGS] for rho in initial_product_states()], axis=0
+    [[rho @ (rho @ a - a @ rho) for a in (SZ1, SZ2)] for rho in initial_product_states()], axis=0
 )
 SLOPE_WEIGHTS.flags.writeable = False
 
@@ -438,20 +474,16 @@ def purity_slopes(energies, vectors, nm: NoiseModel):
 
     ``energies`` (..., 4) and ``vectors`` (..., 4, 4) are what
     ``np.linalg.eigh`` returns for a stack of Hamiltonians (angular
-    units); the result has the leading shape. The dissipator of
-    ``redfield_tensor`` is D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag]
-    with M_a = V (A~_a o S(omega)) V^dag / 4pi, A~_a = V^dag A_a V. The
-    coherent part drops out of d Tr rho^2 / dt, and the 16-state mean is
-    linear in M_a, so the slope is -4 sum_a Re Tr(M_a W_a) with the
-    constant SLOPE_WEIGHTS W_a: no Liouvillian and no product state is
-    built. Equal to :func:`initial_purity_slope` up to rounding.
+    units); the result has the leading shape. The dissipator is
+    D(rho) = -sum_a [A_a, M_a rho - rho M_a^dag] with the same M_a the
+    generators are built from (``_dissipators``). The coherent part drops
+    out of d Tr rho^2 / dt, and the 16-state mean is linear in M_a, so the
+    slope is -4 sum_a Re Tr(M_a W_a) with the constant SLOPE_WEIGHTS W_a:
+    no Liouvillian and no product state is built. Equal to
+    :func:`initial_purity_slope` up to rounding.
     """
-    vh = np.swapaxes(vectors, -1, -2).conj()[..., None, :, :]
-    v = vectors[..., None, :, :]
-    couplings = vh @ COUPLINGS @ v
-    weights = vh @ SLOPE_WEIGHTS @ v
-    s_of_omega = spectral_function(energies[..., :, None] - energies[..., None, :], nm)
-    return -np.einsum("...akm,...amk,...mk->...", weights, couplings, s_of_omega).real / np.pi
+    m = _dissipators(energies, vectors, nm)
+    return -4.0 * np.einsum("akm,...amk->...", SLOPE_WEIGHTS, m).real
 
 
 def _purity_trace(segments, nm: NoiseModel):
@@ -516,30 +548,31 @@ def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None
     if t_final is None:
         t_final = params.t0
     _check_times(t_final, dt)
-    _, _, lmat = _pipeline(params, nm)
     if dt is None:
         dt = params.t0 / DEFAULT_STEPS_PER_T0
-    return _purity_trace([(lmat, t_final, dt)], nm)
+    return _purity_trace([(_pipeline(params, nm)[1], t_final, dt)], nm)
 
 
 def sequence_gate_purity(segments, nm: NoiseModel):
     """Gate purity through a piecewise-constant Hamiltonian sequence.
 
     ``segments`` is a list of (hamiltonian, duration) pairs in physical
-    angular units and time units (t0 = 1) respectively; a negative
-    duration raises InvalidParameterError. Each segment is sampled every
-    1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least one
-    step). Each segment's master equation is written in its own eigenbasis
-    and its generator rotated once to the standard basis (``_generator``);
-    ``_purity_trace`` propagates the 16 product states under its Pauli
-    form. The initial slope is the analytic one for the first segment's
-    generator.
+    angular units and time units (t0 = 1) respectively; an empty list or a
+    negative duration raises InvalidParameterError. Each segment is sampled
+    every 1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least
+    one step). The standard-basis generators of all segments are built in
+    one ``_generators`` call; ``_purity_trace`` propagates the 16 product
+    states under their Pauli form. The initial slope is the analytic one
+    for the first segment's generator.
     """
-    resolved = []
-    for h, duration in segments:
+    for _, duration in segments:
         _check_times(duration)
-        resolved.append((_generator(h, nm)[2], duration, 1.0 / DEFAULT_STEPS_PER_T0))
-    return _purity_trace(resolved, nm)
+    hs = [np.asarray(h, dtype=complex) for h, _ in segments]
+    if not hs or any(h.shape != (4, 4) for h in hs):
+        raise InvalidParameterError("need at least one segment, each with a 4x4 Hamiltonian")
+    lmats = _generators(np.array(hs), nm)[2]
+    dt = 1.0 / DEFAULT_STEPS_PER_T0
+    return _purity_trace([(lmat, duration, dt) for lmat, (_, duration) in zip(lmats, segments)], nm)
 
 
 @dataclass(frozen=True)
@@ -562,18 +595,18 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
     ``delta`` is the qubit's sigma_x coefficient in the same angular units
     as the noise model. The excited-state population decays toward 1/2
     (the generator has no detailed balance); the decay constant is fitted
-    log-linearly to fit_points + 1 equally spaced samples. The returned
-    ratio fitted/analytic is the normalization constant
-    RELAXATION_NORMALIZATION (= 4/pi^2 as T -> 0), because the
-    generator's exact rate is S(2 Delta)/pi.
+    log-linearly to fit_points + 1 equally spaced samples (fit_points of at
+    least 2, else InvalidParameterError). The returned ratio
+    fitted/analytic is the normalization constant RELAXATION_NORMALIZATION
+    (= 4/pi^2 as T -> 0), because the generator's exact rate is
+    S(2 Delta)/pi.
     """
     if delta <= 0:
         raise InvalidParameterError("delta must be positive")
+    if not fit_points >= 2:
+        raise InvalidParameterError(f"fit_points must be at least 2, got {fit_points}")
     if nm.alpha == 0.0:
         return RelaxationCheck(fitted_rate=0.0, analytic_rate=0.0)
-
-    params = HamiltonianParams(delta1=delta / np.pi, t0=1.0)
-    _, _, lmat = _pipeline(params, nm)
 
     rate_guess = spectral_function(2.0 * delta, nm) / np.pi
     if rate_guess == 0.0:
@@ -582,21 +615,15 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
             f"{nm.cutoff:g}: S(2 delta) = 0 leaves no relaxation to fit"
         )
     t_final = 0.25 / rate_guess
-    n_steps, dt = _grid(t_final, t_final / fit_points)
-
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     up = np.array([1.0, 0.0])
     rho0 = DensityMatrix.from_ket(np.kron(plus, up))
+    params = HamiltonianParams(delta1=delta / np.pi, t0=1.0)
+    traj = propagate(rho0, params, nm, t_final, t_final / fit_points, validate=False)
+
     proj = np.kron(np.outer(plus, plus), np.eye(2))
-    pop = np.empty(n_steps + 1)
-
-    def record(start, block):
-        rhos = block.reshape(-1, 4, 4)
-        pop[start:start + len(block)] = np.einsum("ij,tji->t", proj, rhos).real
-
-    _evolve(lmat, rho0.matrix.reshape(16), dt, n_steps, record)
-
-    t = np.arange(n_steps + 1) * dt
+    pop = np.einsum("ij,tji->t", proj, traj.matrices).real
+    t = traj.times
     excess = pop - 0.5
     if np.any(excess <= 0):
         raise StateValidityError("excited population crossed the stationary value")

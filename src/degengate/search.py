@@ -61,7 +61,7 @@ class SearchSpec:
     spectral constraint to enforce ('none', 'single' or 'double') through
     a quadratic gap penalty, and ``coupling_norm``, when set, fixes
     |J| = sqrt(jx^2+jy^2+jz^2) by rescaling the couplings; it must be
-    finite and non-negative.
+    finite and non-negative. ``gate_time`` must be positive and finite.
     """
 
     target: str
@@ -93,6 +93,9 @@ class SearchSpec:
             raise InvalidParameterError("degeneracy must be none, single or double")
         if self.restarts < 1 or self.max_iter < 1:
             raise InvalidParameterError("restarts and max_iter must be at least 1")
+        if not 0.0 < self.gate_time < np.inf:
+            raise InvalidParameterError(
+                f"gate_time must be positive and finite, got {self.gate_time}")
         _check_coupling_norm(self.coupling_norm)
 
 

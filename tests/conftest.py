@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degengate import HamiltonianParams
+from degengate import HamiltonianParams, lambda_rates, redfield_tensor
 
 
 @pytest.fixture
@@ -28,3 +28,14 @@ def random_unitary(rng, dim=4):
 
 def random_local_unitary(rng):
     return np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+
+
+def eigen_liouvillian(es, nm):
+    """Reference generator in the eigenbasis of ``es``: the relaxation tensor's."""
+    return redfield_tensor(lambda_rates(es, nm), omega=es.omega).liouvillian()
+
+
+def reference_liouvillian(es, nm):
+    """The eigenbasis reference generator rotated to the standard basis."""
+    v = es.vectors
+    return np.kron(v, v.conj()) @ eigen_liouvillian(es, nm) @ np.kron(v.conj().T, v.T)

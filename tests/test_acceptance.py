@@ -35,7 +35,7 @@ from degengate import (
     target_gate,
 )
 from degengate.cli import main
-from degengate.redfield import RELAXATION_NORMALIZATION, _pipeline, DensityMatrix
+from degengate.redfield import RELAXATION_NORMALIZATION, DensityMatrix
 
 from conftest import random_local_unitary, random_params
 
@@ -162,9 +162,8 @@ class TestCriterion4RedfieldPhysics:
         nm = NoiseModel.from_reduced()
         for k in range(8):
             p = random_params(rng, scale=1.2)
-            es, tensor, _ = _pipeline(p, nm)
             rho0 = DensityMatrix(initial_product_states()[k])
-            traj = propagate(rho0, es, tensor, t_final=10.0, dt=5e-4,
+            traj = propagate(rho0, p, nm, t_final=10.0, dt=5e-4,
                              eigen_floor=-(1e-6 + 0.02 * nm.alpha))
             for idx in range(0, len(traj.times), 4000):
                 m = traj.matrices[idx]

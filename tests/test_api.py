@@ -6,6 +6,7 @@ inside a traced benchmark run.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -66,3 +67,15 @@ def test_benchmark_selftest_passes():
     out = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["landscape", "purity"])
+def test_traced_benchmark_run_is_correct(workload):
+    # A traced run wraps every TARGETS name and checks each op's output
+    # against the benchmark's references, so a refactor that changes what a
+    # traced function returns fails here.
+    out = subprocess.run([sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload",
+                          workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
+                         capture_output=True, text=True, timeout=170)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert json.loads(out.stdout.splitlines()[-1])["correct"] is True

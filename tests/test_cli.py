@@ -120,6 +120,8 @@ class TestConfigHandling:
         "optimize-norm-negative": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
                                                              "coupling_norm": -0.75}},
                                    "coupling_norm"),
+        "optimize-gate-time-zero": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]}},
+                                                 "gate_time": 0}, "gate_time"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

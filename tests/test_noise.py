@@ -76,3 +76,10 @@ def test_from_reduced_defaults():
     assert nm.alpha == 0.01
     assert nm.temperature == pytest.approx(0.2 * np.pi)
     assert nm.cutoff == pytest.approx(20 * np.pi)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0, -1.0, float("inf"), float("nan")])
+def test_from_reduced_rejects_bad_t0(t0):
+    # t0 = 0 used to divide by zero in the pi/t0 scale.
+    with pytest.raises(InvalidParameterError, match="t0"):
+        NoiseModel.from_reduced(t0=t0)

@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 from degengate import (
     HamiltonianParams,
     NoiseModel,
+    build_hamiltonian,
     gate_purity,
     initial_product_states,
     initial_purity_slope,
     pauli_tensor,
 )
 from degengate.constructions import onestep_cnot
-from degengate.redfield import _bloch_generator, _pipeline
+from degengate.hamiltonian import build_hamiltonians
+from degengate.redfield import _bloch_generator, _generators, _pipeline
+
+from conftest import eigen_liouvillian, reference_liouvillian
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -37,7 +41,7 @@ def _apply(lmat, rho):
 @given(controls, noise)
 def test_generator_preserves_trace_and_hermiticity(values, bath):
     params = HamiltonianParams.from_array(values)
-    _, _, lmat = _pipeline(params, NoiseModel.from_reduced(*bath))
+    _, lmat = _pipeline(params, NoiseModel.from_reduced(*bath))
     for rho in STATES:
         drho = _apply(lmat, rho)
         assert abs(np.trace(drho)) <= 1e-10
@@ -48,13 +52,38 @@ def test_generator_preserves_trace_and_hermiticity(values, bath):
 @given(controls, noise)
 def test_generator_is_eigenbasis_generator_conjugated(values, bath):
     params = HamiltonianParams.from_array(values)
-    es, tensor, lmat = _pipeline(params, NoiseModel.from_reduced(*bath))
-    lmat_eig = tensor.liouvillian()
+    nm = NoiseModel.from_reduced(*bath)
+    es, lmat = _pipeline(params, nm)
+    lmat_eig = eigen_liouvillian(es, nm)
     v = es.vectors
     scale = max(np.max(np.abs(lmat_eig)), 1.0)
     for rho in STATES:
         by_hand = v @ _apply(lmat_eig, v.conj().T @ rho @ v) @ v.conj().T
         assert np.max(np.abs(_apply(lmat, rho) - by_hand)) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(controls, noise)
+def test_generator_equals_rotated_tensor_reference(values, bath):
+    # The operator-form generator against kron(V, V*) L_eig kron(V^dag, V^T),
+    # with L_eig built here from the partial rates and the relaxation tensor.
+    nm = NoiseModel.from_reduced(*bath)
+    es, lmat = _pipeline(HamiltonianParams.from_array(values), nm)
+    ref = reference_liouvillian(es, nm)
+    assert np.max(np.abs(lmat - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(controls, min_size=1, max_size=5), noise)
+def test_stacked_generators_match_single_points(points, bath):
+    nm = NoiseModel.from_reduced(*bath)
+    energies, vectors, lmats = _generators(build_hamiltonians(points), nm)
+    assert lmats.shape == (len(points), 16, 16)
+    for k, values in enumerate(points):
+        single = _generators(build_hamiltonian(HamiltonianParams.from_array(values)), nm)
+        for stacked, one in zip((energies[k], vectors[k], lmats[k]), single):
+            np.testing.assert_allclose(stacked, one, rtol=0,
+                                       atol=1e-14 * max(np.max(np.abs(one)), 1.0))
 
 
 @PROPERTY_SETTINGS
@@ -74,7 +103,7 @@ def test_loss_invariant_under_time_rescaling(values, bath, t0):
 def test_bloch_generator_is_real_pauli_form(values, bath):
     # Rows vec(sigma_a*) give the Pauli coefficients Tr(sigma_a rho) of vec(rho).
     t = np.array([pauli_tensor(a, b).conj().reshape(16) for a in "0xyz" for b in "0xyz"])
-    _, _, lmat = _pipeline(HamiltonianParams.from_array(values), NoiseModel.from_reduced(*bath))
+    _, lmat = _pipeline(HamiltonianParams.from_array(values), NoiseModel.from_reduced(*bath))
     by_hand = t @ lmat @ t.conj().T / 4.0
     scale = np.max(np.abs(lmat))
     bloch = _bloch_generator(lmat)

@@ -24,15 +24,16 @@ from degengate.redfield import (
     RELAXATION_NORMALIZATION,
     DEFAULT_STEPS_PER_T0,
     _bloch_generator,
+    _dissipators,
     _evolve,
-    _generator,
+    _generators,
     _pipeline,
     _purity_trace,
     purity_slopes,
 )
 from degengate.hamiltonian import PARAM_NAMES, EigenSystem
 
-from conftest import random_params
+from conftest import eigen_liouvillian, random_params, reference_liouvillian
 
 SQ7_4 = np.sqrt(7.0) / 4.0
 CNOT_REFINED = HamiltonianParams(delta2=1.5, eps1=-0.25, eps2=-SQ7_4, jz=-SQ7_4)
@@ -121,25 +122,23 @@ class TestLambdaRates:
 
 class TestPipelineCache:
     def test_returned_arrays_are_read_only(self):
-        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
-        for arr in (es.energies, es.vectors, tensor.tensor, tensor.omega, lmat):
+        es, lmat = _pipeline(CNOT_REFINED, DESK)
+        for arr in (es.energies, es.vectors, lmat):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_second_call_returns_pristine_values(self):
-        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
+        es, lmat = _pipeline(CNOT_REFINED, DESK)
         with pytest.raises(ValueError):
             lmat *= 2.0
         with pytest.raises(ValueError):
             es.vectors[:, 0] = 0.0
-        es2, tensor2, lmat2 = _pipeline(CNOT_REFINED, DESK)
+        es2, lmat2 = _pipeline(CNOT_REFINED, DESK)
         fresh_es = eigensystem(build_hamiltonian(CNOT_REFINED))
-        fresh = redfield_tensor(lambda_rates(fresh_es, DESK), omega=fresh_es.omega)
-        v = fresh_es.vectors
         np.testing.assert_array_equal(es2.vectors, fresh_es.vectors)
-        np.testing.assert_array_equal(tensor2.tensor, fresh.tensor)
-        np.testing.assert_array_equal(
-            lmat2, np.kron(v, v.conj()) @ fresh.liouvillian() @ np.kron(v.conj().T, v.T))
+        np.testing.assert_array_equal(lmat2, _generators(build_hamiltonian(CNOT_REFINED), DESK)[2])
+        ref = reference_liouvillian(fresh_es, DESK)
+        assert np.max(np.abs(lmat2 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestRedfieldTensor:
@@ -166,7 +165,7 @@ class TestRedfieldTensor:
             )
 
     def test_generator_on_random_hermitian_state(self, rng):
-        es, tensor, lmat = _pipeline(CNOT_REFINED, DESK)
+        _, lmat = _pipeline(CNOT_REFINED, DESK)
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = 0.5 * (a + a.conj().T)
@@ -179,9 +178,9 @@ class TestRedfieldTensor:
 class TestPropagation:
     def test_unitary_case_stationary_diagonal(self):
         nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
-        es, tensor, _ = _pipeline(CNOT_REFINED, nm0)
+        es, _ = _pipeline(CNOT_REFINED, nm0)
         rho0 = DensityMatrix(es.to_standard(np.diag([0.4, 0.3, 0.2, 0.1])))
-        traj = propagate(rho0, es, tensor, t_final=1.0, dt=1e-3)
+        traj = propagate(rho0, CNOT_REFINED, nm0, t_final=1.0, dt=1e-3)
         np.testing.assert_allclose(traj.matrices[-1], rho0.matrix, atol=1e-9)
 
     def test_unitary_case_purity_constant(self):
@@ -200,9 +199,8 @@ class TestPropagation:
 
     def test_trace_and_hermiticity_long_run(self):
         # Invariants over t in [0, 10 t0] for the headline construction.
-        es, tensor, _ = _pipeline(CNOT_REFINED, DESK)
         rho0 = DensityMatrix(initial_product_states()[5])
-        traj = propagate(rho0, es, tensor, t_final=10.0, dt=5e-4,
+        traj = propagate(rho0, CNOT_REFINED, DESK, t_final=10.0, dt=5e-4,
                          eigen_floor=-(1e-6 + 0.02 * DESK.alpha))
         for k in range(0, len(traj.times), 2000):
             m = traj.matrices[k]
@@ -223,6 +221,13 @@ class TestPropagation:
     def test_relaxation_zero_noise(self):
         chk = relax_time_check(np.pi, NoiseModel(alpha=0.0, temperature=0.0, cutoff=10.0))
         assert chk.fitted_rate == 0.0 and chk.analytic_rate == 0.0
+
+    @pytest.mark.parametrize("fit_points", [0, 1, -5, float("nan")])
+    def test_relaxation_needs_two_fit_points(self, fit_points):
+        # fit_points = 0 divided by zero; -5 fitted a line through two samples.
+        with pytest.raises(InvalidParameterError, match="fit_points"):
+            relax_time_check(np.pi, NoiseModel(alpha=0.01, temperature=0.0, cutoff=100.0),
+                             fit_points=fit_points)
 
     def test_relaxation_splitting_above_cutoff_rejected(self):
         # S(2 delta) = 0 above the cutoff: nothing relaxes, so nothing to fit.
@@ -304,7 +309,7 @@ class TestGatePurity:
         # Random eigenvector phases and a random rotation inside the exactly
         # degenerate subspace must not change P(t).
         params = CNOT_REFINED
-        es, tensor, _ = _pipeline(params, DESK)
+        es, _ = _pipeline(params, DESK)
         trace_ref = gate_purity(params, DESK, dt=1e-3)
 
         phases = np.exp(2j * np.pi * rng.random(4))
@@ -316,16 +321,11 @@ class TestGatePurity:
         vectors[:, 2:] = vectors[:, 2:] @ q
         es2 = EigenSystem(energies=es.energies, vectors=vectors)
 
-        lam = lambda_rates(es2, DESK)
-        tensor2 = redfield_tensor(lam, omega=es2.omega)
-        per_state = []
-        for rho in initial_product_states():
-            traj = propagate(DensityMatrix(rho), es2, tensor2, t_final=1.0, dt=1e-3,
-                             validate=False)
-            per_state.append(
-                np.einsum("tij,tji->t", traj.matrices, traj.matrices).real
-            )
-        avg = np.mean(per_state, axis=0)
+        # The operators the generator is built from do not see the rotation,
+        np.testing.assert_allclose(_dissipators(es2.energies, es2.vectors, DESK),
+                                   _dissipators(es.energies, es.vectors, DESK), rtol=0, atol=1e-14)
+        # and neither does the rotated reference generator's propagation.
+        avg = vec_purity_reference([(reference_liouvillian(es2, DESK), 1000, 1e-3)]).mean(axis=1)
         np.testing.assert_allclose(avg, trace_ref.average, atol=1e-8)
 
     def test_tensor_slope_self_consistency(self):
@@ -358,8 +358,8 @@ class TestGatePurity:
         # generator's right-hand side in the eigenbasis.
         for _ in range(20):
             params = random_params(rng, scale=1.5)
-            es, tensor, _ = _pipeline(params, DESK)
-            lmat = tensor.liouvillian()
+            es, _ = _pipeline(params, DESK)
+            lmat = eigen_liouvillian(es, DESK)
             total = 0.0
             for rho in initial_product_states():
                 rho_e = es.to_eigenbasis(rho)
@@ -379,8 +379,8 @@ class TestExactEngine:
                              ids=["paper-cnot", "bgate-x4"])
     def test_gate_purity_matches_rk4(self, params):
         trace = gate_purity(params, DESK)
-        es, tensor, _ = _pipeline(params, DESK)
-        lmat = tensor.liouvillian()
+        es, _ = _pipeline(params, DESK)
+        lmat = eigen_liouvillian(es, DESK)
         dt = trace.times[1]
         # Four RK4 substeps per t0/2000 sample keep the reference's own error
         # (4.6e-9 with one step at four times the B-gate controls) far below the bound.
@@ -402,7 +402,7 @@ class TestExactEngine:
         ref = [[_mean_purity(y_std)]]
         for h, duration in segments:
             es = eigensystem(h)
-            lmat = redfield_tensor(lambda_rates(es, DESK), omega=es.omega).liouvillian()
+            lmat = eigen_liouvillian(es, DESK)
             v = es.vectors
             n_steps = max(round(duration * DEFAULT_STEPS_PER_T0), 1)
             y, purity = rk4_reference(lmat, np.kron(v.conj().T, v.T) @ y_std,
@@ -419,7 +419,7 @@ class TestExactEngine:
                               ((16,), float), ((16, 16), float)],
                              ids=["vector", "states", "real-vector", "real-states"])
     def test_evolve_blocks_match_sequential_products(self, rng, n_steps, y_shape, dtype):
-        _, _, lmat = _pipeline(BGATE_X4, DESK)
+        _, lmat = _pipeline(BGATE_X4, DESK)
         y0 = rng.normal(size=y_shape)
         if dtype is complex:
             y0 = y0 + 1j * rng.normal(size=y_shape)
@@ -448,7 +448,7 @@ class TestExactEngine:
     def test_gate_purity_matches_complex_products(self):
         # Reference: the 16 states as complex vec(rho), one expm(dt L) product per sample.
         trace = gate_purity(CNOT_REFINED, DESK)
-        _, _, lmat = _pipeline(CNOT_REFINED, DESK)
+        _, lmat = _pipeline(CNOT_REFINED, DESK)
         ref = vec_purity_reference([(lmat, DEFAULT_STEPS_PER_T0, trace.times[1])])
         assert ref.shape == trace.per_state.shape
         assert np.max(np.abs(trace.per_state - ref)) <= 1e-12
@@ -458,22 +458,22 @@ class TestExactEngine:
                     (build_hamiltonian(HamiltonianParams(delta1=0.7, jx=0.4)), 0.25)]
         trace = sequence_gate_purity(segments, DESK)
         steps = [round(duration * DEFAULT_STEPS_PER_T0) for _, duration in segments]
-        ref = vec_purity_reference([(_generator(h, DESK)[2], n, duration / n)
+        ref = vec_purity_reference([(_generators(h, DESK)[2], n, duration / n)
                                     for (h, duration), n in zip(segments, steps)])
         assert ref.shape == trace.per_state.shape
         assert np.max(np.abs(trace.per_state - ref)) <= 1e-12
 
     def test_non_hermiticity_preserving_generator_rejected(self):
-        _, _, lmat = _pipeline(CNOT_REFINED, DESK)
+        _, lmat = _pipeline(CNOT_REFINED, DESK)
         with pytest.raises(IntegrationError, match="Hermiticity"):
             _purity_trace([(lmat + 1e-3j * np.eye(16), 1.0, 0.1)], DESK)
 
     def test_propagate_history_matches_sequential_products(self):
-        es, tensor, _ = _pipeline(CNOT_REFINED, DESK)
+        es, _ = _pipeline(CNOT_REFINED, DESK)
         rho0 = DensityMatrix(initial_product_states()[6])
         n_steps = 2 * BLOCK + 3
-        traj = propagate(rho0, es, tensor, t_final=n_steps * 1e-3, dt=1e-3)
-        prop = expm(traj.times[1] * tensor.liouvillian())
+        traj = propagate(rho0, CNOT_REFINED, DESK, t_final=n_steps * 1e-3, dt=1e-3)
+        prop = expm(traj.times[1] * eigen_liouvillian(es, DESK))
         y = es.to_eigenbasis(rho0.matrix).reshape(16)
         ref = [es.to_standard(y.reshape(4, 4))]
         for _ in range(n_steps):
@@ -508,6 +508,14 @@ class TestSequencePurity:
         h = build_hamiltonian(CNOT_REFINED)
         with pytest.raises(InvalidParameterError):
             sequence_gate_purity([(h, 0.5), (h, -0.25)], DESK)
+
+    @pytest.mark.parametrize("segments",
+                             [[], [(np.eye(2), 0.5)], [(np.eye(4), 0.5), (np.eye(2), 0.5)]],
+                             ids=["empty", "2x2", "mixed"])
+    def test_malformed_sequence_rejected(self, segments):
+        # An empty sequence had no initial slope, so its decay_rate raised TypeError.
+        with pytest.raises(InvalidParameterError, match="at least one segment"):
+            sequence_gate_purity(segments, DESK)
 
     def test_failure_carries_state_index(self, monkeypatch):
         # No 4x4 density matrix has all eigenvalues above 1/4, so every
