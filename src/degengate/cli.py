@@ -18,6 +18,7 @@ range), 3 numerical failure, 4 non-convergence.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -83,7 +84,7 @@ def write_csv(path, header, rows, failure=None):
                 if isinstance(chunk, np.ndarray):
                     cells = tuple(chunk.ravel().tolist())
                 else:
-                    cells = tuple(c for row in chunk for c in row)
+                    cells = tuple(itertools.chain.from_iterable(chunk))
                 fh.write((row_format * len(chunk)) % cells)
         if failure is not None:
             fh.write(f"# FAILED: {failure}\n")
@@ -223,6 +224,24 @@ def cmd_purity(args):
     return EXIT_OK
 
 
+def _sweep_rows(result):
+    """The sweep.csv rows of a SweepResult: the cells of ``to_records`` in its order."""
+    grid = result.grid
+    n1, n2 = result.feasible.shape
+    columns = (
+        np.repeat(grid.values1, n2),
+        np.tile(grid.values2, n1),
+        result.feasible,
+        result.decay_rate,
+        result.classification,
+        result.min_gap,
+        result.pair_gap,
+        result.ground_gap,
+        result.reason,
+    )
+    return list(zip(*(np.ravel(column).tolist() for column in columns)))
+
+
 def cmd_sweep(args):
     cfg = _load(args)
     out = _outdir(args)
@@ -240,21 +259,7 @@ def cmd_sweep(args):
         "ground_gap",
         "reason",
     ]
-    rows = [
-        [
-            r[grid.param1],
-            r[grid.param2],
-            r["feasible"],
-            r["dpdt0"],
-            r["degeneracy_class"],
-            r["min_gap"],
-            r["pair_gap"],
-            r["ground_gap"],
-            r["reason"],
-        ]
-        for r in result.to_records()
-    ]
-    write_csv(os.path.join(out, "sweep.csv"), header, rows)
+    write_csv(os.path.join(out, "sweep.csv"), header, _sweep_rows(result))
     argmin = sorted(result.argmin_cells(1e-12))
     feasible_rates = result.decay_rate[result.feasible]
     min_rate = float(feasible_rates.min()) if feasible_rates.size else None

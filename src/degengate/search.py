@@ -11,7 +11,8 @@ The sweep engine evaluates the analytic initial purity-decay rate
 |dP/dt| at t=0 on a 2-D parameter grid, which is the quantity whose
 landscape exhibits minima at the double-degeneracy points; it works one
 grid row at a time, from one stacked eigendecomposition and the
-closed-form slope.
+closed-form slope. The degeneracy-break probe rates its random
+perturbations of a point with the same kernel.
 """
 
 import warnings
@@ -26,9 +27,7 @@ from .hamiltonian import (
     HamiltonianParams,
     build_hamiltonian,
     build_hamiltonians,
-    classify_degeneracy,
     degeneracy_classes,
-    eigensystem,
     eigh_stack,
 )
 from .metrics import GateReport, GateTarget, makhlin_invariants, report
@@ -347,7 +346,9 @@ class SweepResult:
 def _sweep_cells(controls, nm, tol):
     """|dP/dt| at t=0, degeneracy class and adjacent gaps of (n, 7) controls.
 
-    One stacked ``eigh`` and one closed-form slope kernel for all n cells.
+    One stacked ``eigh`` and one closed-form slope kernel for all n cells,
+    at t0 = 1; ``sweep`` calls it per grid row, ``degeneracy_break_probe``
+    per batch of draws.
     """
     energies, vectors = eigh_stack(build_hamiltonians(controls))
     adjacent = np.diff(energies, axis=-1)
@@ -442,41 +443,72 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
     Perturbs (jy, jz) by up to ``radius`` (relative to |J|) inside the
     fixed-|J| disk, closes jx = +sqrt(|J|^2 - jy^2 - jz^2) and keeps the
     local fields fixed, i.e. moves within exactly the published landscape
-    family. Draws that do not actually break the expected degeneracy
-    (classification unchanged, or pair gap below ``gap_floor``) are
-    redrawn. Returns (number of draws with strictly larger |dP/dt|,
-    draws, worst rate ratio).
+    family. Draws that do not actually break the ``expected`` degeneracy
+    ('single' or 'double'), that is whose classification at tolerance 1e-8
+    is unchanged or whose broken gap (reduced units) is below
+    ``gap_floor``, are redrawn, within 100 * ``draws`` attempts in all.
+    Returns (number of draws with strictly larger |dP/dt|, draws, worst
+    rate ratio).
+
+    Candidates are drawn one attempt at a time, and an attempt uses the
+    same random numbers whether or not it is kept, so the probe draws as
+    many attempts as it still needs draws and rates them together. Each
+    batch, and the point itself, goes through the sweep's row kernel: one
+    stacked ``eigh``, the classification and the closed-form slope, with no
+    Liouvillian, product state or cached ``_pipeline`` entry.
+
+    Raises InvalidParameterError, before drawing anything, unless
+    ``draws`` is a positive integer, ``radius`` is positive and finite,
+    ``gap_floor`` is non-negative and finite, and the point has a coupling
+    and a nonzero rate (there is none to compare against at alpha = 0).
     """
-    rng = np.random.default_rng(seed)
-    base = abs(initial_purity_slope(params, nm))
+    if isinstance(draws, bool) or not isinstance(draws, (int, np.integer)) or draws < 1:
+        raise InvalidParameterError(f"draws must be a positive integer, got {draws!r}")
+    if expected not in ("single", "double"):
+        raise InvalidParameterError(f"expected must be 'single' or 'double', got {expected!r}")
+    if not 0.0 < radius < np.inf:
+        raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
+    if not 0.0 <= gap_floor < np.inf:
+        raise InvalidParameterError(f"gap_floor must be non-negative and finite, got {gap_floor}")
     norm = params.coupling_norm
     if norm <= 0:
         raise InvalidParameterError("the construction has no coupling to perturb")
+    # The kernel builds at t0 = 1; controls over t0 give the same Hamiltonians.
+    point = params.as_array() / params.t0
+    base = _sweep_cells(point[None], nm, 1e-8)[0][0]
+    if base == 0.0:
+        raise InvalidParameterError("the point's rate is 0, so no ratio can be formed")
+    couplings = slice(PARAM_NAMES.index("jx"), PARAM_NAMES.index("jz") + 1)
+    rng = np.random.default_rng(seed)
     worse, total, worst = 0, 0, np.inf
     attempts = 0
     while total < draws:
-        attempts += 1
-        if attempts > 100 * draws:
+        batch = min(draws - total, 100 * draws - attempts)
+        if batch == 0:
             raise InvalidParameterError("could not draw degeneracy-breaking perturbations")
-        d = rng.normal(size=2)
-        d /= np.linalg.norm(d)
-        step = radius * norm * (0.2 + 0.8 * rng.random())
-        jy = params.jy + step * d[0]
-        jz = params.jz + step * d[1]
-        if jy**2 + jz**2 > norm**2:
+        attempts += batch
+        candidates = []
+        for _ in range(batch):
+            d = rng.normal(size=2)
+            d /= np.linalg.norm(d)
+            step = radius * norm * (0.2 + 0.8 * rng.random())
+            jy = params.jy + step * d[0]
+            jz = params.jz + step * d[1]
+            if jy**2 + jz**2 <= norm**2:
+                candidates.append((np.sqrt(norm**2 - jy**2 - jz**2), jy, jz))
+        if not candidates:
             continue
-        jx = np.sqrt(norm**2 - jy**2 - jz**2)
-        p = params.replace(jx=jx, jy=jy, jz=jz)
-        rep = classify_degeneracy(eigensystem(build_hamiltonian(p)), 1e-8)
-        broken_gap = (
-            rep.pair_gap_measure if expected == "double" else rep.min_gap
-        ) / np.pi
-        if rep.classification == expected or broken_gap < gap_floor:
-            continue
-        rate = abs(initial_purity_slope(p, nm))
-        total += 1
-        worse += rate > base
-        worst = min(worst, rate / base)
+        controls = np.tile(point, (len(candidates), 1))
+        controls[:, couplings] = np.array(candidates) / params.t0
+        rates, classes, adjacent = _sweep_cells(controls, nm, 1e-8)
+        if expected == "double":
+            broken_gap = np.maximum(adjacent[:, 0], adjacent[:, 2]) / np.pi
+        else:
+            broken_gap = adjacent.min(axis=-1) / np.pi
+        kept = rates[(classes != expected) & (broken_gap >= gap_floor)]
+        total += kept.size
+        worse += int(np.count_nonzero(kept > base))
+        worst = float(np.min(kept / base, initial=worst))
     return worse, total, worst
 
 

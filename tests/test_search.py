@@ -433,6 +433,43 @@ class TestCalibrate:
         assert cal.flagged
 
 
+def per_draw_probe(params, expected, nm, draws=100, radius=0.1, seed=11, gap_floor=1e-4):
+    """The probe one draw at a time: eigensystem, classify_degeneracy and
+    initial_purity_slope per candidate. Also returns how many candidates
+    broke the degeneracy but were redrawn for a gap below ``gap_floor``."""
+    rng = np.random.default_rng(seed)
+    base = abs(initial_purity_slope(params, nm))
+    norm = params.coupling_norm
+    worse, total, worst, attempts, floored = 0, 0, np.inf, 0, 0
+    while total < draws:
+        attempts += 1
+        if attempts > 100 * draws:
+            raise InvalidParameterError("could not draw degeneracy-breaking perturbations")
+        d = rng.normal(size=2)
+        d /= np.linalg.norm(d)
+        step = radius * norm * (0.2 + 0.8 * rng.random())
+        jy = params.jy + step * d[0]
+        jz = params.jz + step * d[1]
+        if jy**2 + jz**2 > norm**2:
+            continue
+        p = params.replace(jx=np.sqrt(norm**2 - jy**2 - jz**2), jy=jy, jz=jz)
+        rep = classify_degeneracy(eigensystem(build_hamiltonian(p)), 1e-8)
+        broken_gap = (rep.pair_gap_measure if expected == "double" else rep.min_gap) / np.pi
+        if rep.classification == expected:
+            continue
+        if broken_gap < gap_floor:
+            floored += 1
+            continue
+        rate = abs(initial_purity_slope(p, nm))
+        total += 1
+        worse += rate > base
+        worst = min(worst, rate / base)
+    return (worse, total, worst), floored
+
+
+PROBE_NOISE = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
+
+
 class TestDegeneracyBreakProbe:
     def test_bgate_local_minimum(self):
         nm0 = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
@@ -446,3 +483,96 @@ class TestDegeneracyBreakProbe:
         nm0 = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
         with pytest.raises(InvalidParameterError):
             degeneracy_break_probe(HamiltonianParams(delta1=1.0), "double", nm0)
+
+    @pytest.mark.parametrize(
+        "gate, expected, seed, draws, gap_floor, redrawn",
+        [
+            ("bgate", "double", 11, 100, 1e-4, False),
+            ("bgate", "double", 13, 37, 1e-4, False),
+            ("bgate", "double", 5, 1, 1e-4, False),
+            ("bgate", "double", 7, 60, 0.3, True),
+            ("bgate", "double", 11, 100, 0.3, True),
+            ("cnot", "single", 11, 100, 1e-4, False),
+            ("cnot", "single", 13, 23, 1e-4, False),
+            ("cnot", "single", 11, 100, 0.05, True),
+            ("cnot", "single", 3, 40, 0.2, True),
+            # t0 != 1 under a warm bath: the rates are not linear in H.
+            ("bgate_t0", "double", 11, 100, 0.3, True),
+            ("cnot_t0", "single", 13, 40, 0.5, True),
+        ],
+    )
+    def test_matches_per_draw_reference(self, gate, expected, seed, draws, gap_floor, redrawn):
+        params = {
+            "bgate": onestep_bgate().params,
+            "cnot": onestep_cnot().params,
+            "bgate_t0": onestep_bgate().params.replace(t0=2.5),
+            "cnot_t0": onestep_cnot().params.replace(t0=0.4),
+        }[gate]
+        nm = DESK if gate.endswith("_t0") else PROBE_NOISE
+        (worse, total, worst), floored = per_draw_probe(
+            params, expected, nm, draws=draws, seed=seed, gap_floor=gap_floor)
+        assert (floored > 0) == redrawn
+        got = degeneracy_break_probe(params, expected, nm, draws=draws, seed=seed,
+                                     gap_floor=gap_floor)
+        assert got[:2] == (worse, total) == (worse, draws)
+        assert got[2] == pytest.approx(worst, rel=1e-13, abs=0)
+
+    def test_attempt_bound_raises(self):
+        params = onestep_cnot().params
+        with pytest.raises(InvalidParameterError, match="could not draw"):
+            per_draw_probe(params, "single", PROBE_NOISE, draws=3, gap_floor=1.0)
+        with pytest.raises(InvalidParameterError, match="could not draw"):
+            degeneracy_break_probe(params, "single", PROBE_NOISE, draws=3, gap_floor=1.0)
+
+    def test_probe_bypasses_the_per_point_path(self, monkeypatch):
+        # The probe rates its draws with the sweep's batched kernel: no
+        # _pipeline lookup and no initial_purity_slope call, under any name.
+        import degengate
+        import degengate.redfield as redfield_mod
+        import degengate.search as search_mod
+
+        def per_point(params, nm):
+            raise AssertionError("probe called initial_purity_slope")
+
+        for module in (degengate, redfield_mod, search_mod):
+            monkeypatch.setattr(module, "initial_purity_slope", per_point)
+        before = redfield_mod._pipeline.cache_info()
+        worse, total, worst = degeneracy_break_probe(
+            onestep_bgate().params, "double", PROBE_NOISE, draws=20)
+        assert worse == total == 20 and worst > 1.0
+        assert redfield_mod._pipeline.cache_info() == before
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"draws": 0}, "draws"),
+            ({"draws": -3}, "draws"),
+            ({"draws": 2.5}, "draws"),
+            ({"draws": True}, "draws"),
+            ({"expected": "bogus"}, "expected"),
+            ({"expected": "none"}, "expected"),
+            ({"radius": 0.0}, "radius"),
+            ({"radius": -0.1}, "radius"),
+            ({"radius": float("inf")}, "radius"),
+            ({"radius": float("nan")}, "radius"),
+            ({"gap_floor": -1e-4}, "gap_floor"),
+            ({"gap_floor": float("nan")}, "gap_floor"),
+            ({"gap_floor": float("inf")}, "gap_floor"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, change, message):
+        import degengate.search as search_mod
+
+        def kernel(controls, nm, tol):
+            raise AssertionError("probe evaluated a point")
+
+        monkeypatch.setattr(search_mod, "_sweep_cells", kernel)
+        kwargs = {"expected": "double", "draws": 10, **change}
+        with pytest.raises(InvalidParameterError, match=message):
+            degeneracy_break_probe(onestep_bgate().params, nm=PROBE_NOISE, **kwargs)
+
+    def test_zero_base_rate_rejected(self):
+        # alpha = 0 gives an exact 0 rate at the point: no ratio to form.
+        silent = NoiseModel.from_reduced(alpha=0.0, temperature=0.0)
+        with pytest.raises(InvalidParameterError, match="rate is 0"):
+            degeneracy_break_probe(onestep_bgate().params, "double", silent, draws=5)
