@@ -514,7 +514,8 @@ class TestDegeneracyBreakProbe:
         assert (floored > 0) == redrawn
         got = degeneracy_break_probe(params, expected, nm, draws=draws, seed=seed,
                                      gap_floor=gap_floor)
-        assert got[:2] == (worse, total) == (worse, draws)
+        assert total == draws
+        assert got[:2] == (worse, total)
         assert got[2] == pytest.approx(worst, rel=1e-13, abs=0)
 
     def test_attempt_bound_raises(self):
