@@ -224,42 +224,13 @@ def cmd_purity(args):
     return EXIT_OK
 
 
-def _sweep_rows(result):
-    """The sweep.csv rows of a SweepResult: the cells of ``to_records`` in its order."""
-    grid = result.grid
-    n1, n2 = result.feasible.shape
-    columns = (
-        np.repeat(grid.values1, n2),
-        np.tile(grid.values2, n1),
-        result.feasible,
-        result.decay_rate,
-        result.classification,
-        result.min_gap,
-        result.pair_gap,
-        result.ground_gap,
-        result.reason,
-    )
-    return list(zip(*(np.ravel(column).tolist() for column in columns)))
-
-
 def cmd_sweep(args):
     cfg = _load(args)
     out = _outdir(args)
     grid = resolve_sweep_grid(cfg)
     nm = resolve_noise(cfg)
     result = sweep(grid, nm)
-    header = [
-        grid.param1,
-        grid.param2,
-        "feasible",
-        "dpdt0",
-        "degeneracy_class",
-        "min_gap",
-        "pair_gap",
-        "ground_gap",
-        "reason",
-    ]
-    write_csv(os.path.join(out, "sweep.csv"), header, _sweep_rows(result))
+    write_csv(os.path.join(out, "sweep.csv"), result.record_keys(), result.rows())
     argmin = sorted(result.argmin_cells(1e-12))
     feasible_rates = result.decay_rate[result.feasible]
     min_rate = float(feasible_rates.min()) if feasible_rates.size else None

@@ -323,24 +323,30 @@ class SweepResult:
     def min_pair_gap_cells(self, slack=1e-9):
         return self._near_min_cells(self.pair_gap, slack)
 
+    def record_keys(self):
+        """Names of the columns of ``rows``, the keys of ``to_records``."""
+        return (self.grid.param1, self.grid.param2, "feasible", "dpdt0", "degeneracy_class",
+                "min_gap", "pair_gap", "ground_gap", "reason")
+
+    def rows(self):
+        """One tuple of Python scalars per cell, in index order, columns as ``record_keys``."""
+        n1, n2 = self.feasible.shape
+        columns = (
+            np.repeat(self.grid.values1, n2),
+            np.tile(self.grid.values2, n1),
+            self.feasible,
+            self.decay_rate,
+            self.classification,
+            self.min_gap,
+            self.pair_gap,
+            self.ground_gap,
+            self.reason,
+        )
+        return list(zip(*(np.ravel(column).tolist() for column in columns)))
+
     def to_records(self):
-        records = []
-        for i, v1 in enumerate(self.grid.values1):
-            for j, v2 in enumerate(self.grid.values2):
-                records.append(
-                    {
-                        self.grid.param1: float(v1),
-                        self.grid.param2: float(v2),
-                        "feasible": bool(self.feasible[i, j]),
-                        "dpdt0": float(self.decay_rate[i, j]),
-                        "degeneracy_class": str(self.classification[i, j]),
-                        "min_gap": float(self.min_gap[i, j]),
-                        "pair_gap": float(self.pair_gap[i, j]),
-                        "ground_gap": float(self.ground_gap[i, j]),
-                        "reason": str(self.reason[i, j]),
-                    }
-                )
-        return records
+        keys = self.record_keys()
+        return [dict(zip(keys, row)) for row in self.rows()]
 
 
 def _sweep_cells(controls, nm, tol):

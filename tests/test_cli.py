@@ -403,35 +403,6 @@ class TestSweepCommand:
         assert main(["sweep", "--experiment", "paper:fig1", "--out", str(tmp_path / "fig1")]) == 0
         assert read(out / "sweep.csv") == read(tmp_path / "fig1" / "sweep.csv")
 
-    def test_rows_equal_records(self, tmp_path, monkeypatch):
-        # The CSV rows come straight from the result arrays: the same cells,
-        # values and types as to_records, |J|-closure and error cells included.
-        import degengate.search as search_mod
-        from degengate import NoiseModel, fig1_grid, sweep
-        from degengate.cli import _sweep_rows
-        from degengate.redfield import purity_slopes
-
-        grid = fig1_grid(n=5)
-        bad = np.linalg.eigh(search_mod.build_hamiltonians(grid.row_controls(2)[0][1]))[0]
-
-        def failing(energies, vectors, nm):
-            if np.any(np.all(energies == bad, axis=-1)):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return purity_slopes(energies, vectors, nm)
-
-        monkeypatch.setattr(search_mod, "purity_slopes", failing)
-        result = sweep(grid, NoiseModel.from_reduced())
-        reasons = set(result.reason.flat)
-        assert {"", "infeasible: |J| closure", "error: Eigenvalues did not converge"} == reasons
-        rows = _sweep_rows(result)
-        records = [tuple(r.values()) for r in result.to_records()]
-        np.testing.assert_equal(rows, records)
-        assert [list(map(type, row)) for row in rows] == [list(map(type, r)) for r in records]
-        header = list(result.to_records()[0])
-        write_csv(tmp_path / "rows.csv", header, rows)
-        write_csv(tmp_path / "records.csv", header, records)
-        assert read(tmp_path / "rows.csv") == read(tmp_path / "records.csv")
-
     def test_zero_noise_sweep_zero_column(self, tmp_path):
         cfg = {
             "sweep": {

@@ -339,6 +339,39 @@ class TestSweep:
         assert len(records) == 25
         assert {"jy", "jz", "feasible", "dpdt0", "degeneracy_class"} <= set(records[0])
 
+    def test_rows_follow_cells(self, monkeypatch):
+        # Row i * n2 + j holds cell (i, j) as Python float, bool and str
+        # scalars, |J|-closure and error cells included; to_records keys it.
+        import degengate.search as search_mod
+
+        grid = fig1_grid(n=5)
+        bad = np.linalg.eigh(search_mod.build_hamiltonians(grid.row_controls(2)[0][1]))[0]
+
+        def failing(energies, vectors, nm):
+            if np.any(np.all(energies == bad, axis=-1)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return purity_slopes(energies, vectors, nm)
+
+        monkeypatch.setattr(search_mod, "purity_slopes", failing)
+        res = sweep(grid, DESK)
+        assert set(res.reason.flat) == {
+            "", "infeasible: |J| closure", "error: Eigenvalues did not converge"
+        }
+        rows = res.rows()
+        assert len(rows) == 25
+        for (i, j), row in zip(np.ndindex(5, 5), rows):
+            assert list(map(type, row)) == [float, float, bool, float, str, float, float, float, str]
+            np.testing.assert_equal(row, (
+                grid.values1[i], grid.values2[j], res.feasible[i, j], res.decay_rate[i, j],
+                res.classification[i, j], res.min_gap[i, j], res.pair_gap[i, j],
+                res.ground_gap[i, j], res.reason[i, j],
+            ))
+        assert res.record_keys() == (
+            "jy", "jz", "feasible", "dpdt0", "degeneracy_class",
+            "min_gap", "pair_gap", "ground_gap", "reason",
+        )
+        np.testing.assert_equal(res.to_records(), [dict(zip(res.record_keys(), r)) for r in rows])
+
 
 class TestSensitivity:
     def test_radius_at_cnot_optimum(self):
