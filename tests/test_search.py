@@ -332,16 +332,9 @@ class TestSweep:
         assert res.feasible.any()
         assert redfield_mod._pipeline.cache_info() == before
 
-    def test_records_roundtrip(self):
-        grid = fig1_grid(n=5)
-        res = sweep(grid, DESK)
-        records = res.to_records()
-        assert len(records) == 25
-        assert {"jy", "jz", "feasible", "dpdt0", "degeneracy_class"} <= set(records[0])
-
-    def test_rows_follow_cells(self, monkeypatch):
-        # Row i * n2 + j holds cell (i, j) as Python float, bool and str
-        # scalars, |J|-closure and error cells included; to_records keys it.
+    def test_records_roundtrip(self, monkeypatch):
+        # Row i * n2 + j of rows() holds cell (i, j) as Python float, bool and
+        # str scalars, |J|-closure and error cells included; to_records keys it.
         import degengate.search as search_mod
 
         grid = fig1_grid(n=5)
@@ -354,11 +347,13 @@ class TestSweep:
 
         monkeypatch.setattr(search_mod, "purity_slopes", failing)
         res = sweep(grid, DESK)
+        records = res.to_records()
+        assert len(records) == 25
+        assert {"jy", "jz", "feasible", "dpdt0", "degeneracy_class"} <= set(records[0])
         assert set(res.reason.flat) == {
             "", "infeasible: |J| closure", "error: Eigenvalues did not converge"
         }
         rows = res.rows()
-        assert len(rows) == 25
         for (i, j), row in zip(np.ndindex(5, 5), rows):
             assert list(map(type, row)) == [float, float, bool, float, str, float, float, float, str]
             np.testing.assert_equal(row, (
@@ -370,7 +365,7 @@ class TestSweep:
             "jy", "jz", "feasible", "dpdt0", "degeneracy_class",
             "min_gap", "pair_gap", "ground_gap", "reason",
         )
-        np.testing.assert_equal(res.to_records(), [dict(zip(res.record_keys(), r)) for r in rows])
+        np.testing.assert_equal(records, [dict(zip(res.record_keys(), r)) for r in rows])
 
 
 class TestSensitivity:
