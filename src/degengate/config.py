@@ -111,8 +111,6 @@ def _check_keys(obj, schema, path):
             raise ConfigError(f"unknown key {path + key!r}")
         expected = schema[key]
         if isinstance(expected, dict):
-            if key in ("params", "fixed", "bounds", "frozen"):
-                continue  # free-form but validated below
             _check_keys(value, expected, path + key + ".")
         elif isinstance(value, bool) or not isinstance(value, expected):  # no key takes a bool
             raise ConfigError(
@@ -142,7 +140,6 @@ def validate_config(raw):
     """Validate the raw dict against the strict schema; returns it unchanged."""
     _check_keys(raw, _SCHEMA, "")
     ham = raw.get("hamiltonian", {})
-    _check_keys(ham, _SCHEMA["hamiltonian"], "hamiltonian.")
     if "params" in ham:
         _check_param_dict(ham["params"], "hamiltonian.params")
     if "construction" in ham and ham["construction"] not in CONSTRUCTIONS:

@@ -68,7 +68,6 @@ and builds neither a Liouvillian nor the product states.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -280,16 +279,12 @@ def _generators(h, nm: NoiseModel):
     return energies, vectors, lmat.reshape(h.shape[:-2] + (16, 16))
 
 
-@lru_cache(maxsize=256)
 def _pipeline(params: HamiltonianParams, nm: NoiseModel):
-    """Cached (EigenSystem, standard-basis Liouvillian) of a configuration.
+    """(EigenSystem, standard-basis Liouvillian) of a configuration.
 
-    Both come from one ``_generators`` call. Every caller shares the
-    returned arrays, so they are read-only.
+    Both come from one ``_generators`` call.
     """
     energies, vectors, lmat = _generators(build_hamiltonian(params), nm)
-    for arr in (energies, vectors, lmat):
-        arr.flags.writeable = False
     return EigenSystem(energies=energies, vectors=vectors), lmat
 
 
@@ -372,7 +367,7 @@ def propagate(rho0: DensityMatrix, params: HamiltonianParams, nm: NoiseModel,
     """Propagate the master equation for one state, sampled on a fixed grid.
 
     The state evolves exactly (see ``_evolve``) under the configuration's
-    cached standard-basis generator (``_pipeline``), sampled every ``dt``
+    standard-basis generator (``_pipeline``), sampled every ``dt``
     rounded to fit ``t_final``. The repeated propagator must agree with a
     single expm over ``t_final`` to 1e-8 in max-norm. With ``validate``
     the final state must pass :meth:`DensityMatrix.validate` with

@@ -206,9 +206,8 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
 
     params = _spec_params(spec, np.clip(best_x, lows, highs))
     gate_report = report(params, target, nm, t0=spec.gate_time)
-    inv = makhlin_invariants(expm(-1j * spec.gate_time * build_hamiltonian(params)))
     target_inv = makhlin_invariants(target)
-    inv_gap = abs(inv.g1 - target_inv.g1) + abs(inv.g2 - target_inv.g2)
+    inv_gap = abs(gate_report.g1 - target_inv.g1) + abs(gate_report.g2 - target_inv.g2)
     converged = gate_report.distance_phase_opt < spec.distance_threshold
     return OptimizeResult(
         params=params,
@@ -252,8 +251,15 @@ class SweepGrid:
         for name in (self.param1, self.param2, *self.fixed):
             if name not in PARAM_NAMES:
                 raise InvalidParameterError(f"unknown control {name!r}")
+        if self.param1 == self.param2:
+            raise InvalidParameterError(f"param1 and param2 are both {self.param1!r}")
+        for name in self.fixed:
+            if name in (self.param1, self.param2):
+                raise InvalidParameterError(f"control {name!r} is both swept and fixed")
         if self.closure not in (None, "jx_from_norm"):
             raise InvalidParameterError("closure must be None or 'jx_from_norm'")
+        if self.closure == "jx_from_norm" and "jx" in (self.param1, self.param2, *self.fixed):
+            raise InvalidParameterError("closure 'jx_from_norm' sets jx; do not sweep or fix it")
         if self.closure == "jx_from_norm" and self.coupling_norm is None:
             raise InvalidParameterError("closure requires coupling_norm")
         _check_coupling_norm(self.coupling_norm)
@@ -367,8 +373,8 @@ def sweep(grid: SweepGrid, nm: NoiseModel):
     The grid is evaluated one row at a time: the row's feasible cells are
     diagonalized together by one ``np.linalg.eigh`` call on their stacked
     Hamiltonians, and their rates come from the closed-form slope kernel
-    ``purity_slopes``, so no Liouvillian, product state or cached
-    ``_pipeline`` entry is built, and memory does not grow with the grid.
+    ``purity_slopes``, so no Liouvillian or product state is built, and
+    memory does not grow with the grid.
     A row that raises a numerical failure (DegengateError or LinAlgError)
     is redone cell by cell, and only the failing cells are marked
     infeasible with ``error: ...`` as their reason; any other exception
@@ -461,7 +467,7 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
     many attempts as it still needs draws and rates them together. Each
     batch, and the point itself, goes through the sweep's row kernel: one
     stacked ``eigh``, the classification and the closed-form slope, with no
-    Liouvillian, product state or cached ``_pipeline`` entry.
+    Liouvillian or product state.
 
     Raises InvalidParameterError, before drawing anything, unless
     ``draws`` is a positive integer, ``radius`` is positive and finite,

@@ -43,11 +43,6 @@ def test_traced_target_resolves(label, module_name, path):
     assert callable(fn)
 
 
-def test_pipeline_cache_info():
-    info = degengate.redfield._pipeline.cache_info()
-    assert info.maxsize > 0
-
-
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_import_leaves_out(module):
     # scipy.stats (about 0.7 s) and scipy.optimize (about 0.3 s) are imported

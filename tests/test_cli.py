@@ -122,6 +122,8 @@ class TestConfigHandling:
                                    "coupling_norm"),
         "optimize-gate-time-zero": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]}},
                                                  "gate_time": 0}, "gate_time"),
+        "sweep-fixed-swept": ("sweep", {"sweep": {**SWEEP, "fixed": {"jy": 1.0}}},
+                              "both swept and fixed"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

@@ -120,25 +120,14 @@ class TestLambdaRates:
         np.testing.assert_array_equal(cold, np.zeros((4, 4, 4, 4)))
 
 
-class TestPipelineCache:
-    def test_returned_arrays_are_read_only(self):
+class TestPipeline:
+    def test_generator_matches_reference(self):
         es, lmat = _pipeline(CNOT_REFINED, DESK)
-        for arr in (es.energies, es.vectors, lmat):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-
-    def test_second_call_returns_pristine_values(self):
-        es, lmat = _pipeline(CNOT_REFINED, DESK)
-        with pytest.raises(ValueError):
-            lmat *= 2.0
-        with pytest.raises(ValueError):
-            es.vectors[:, 0] = 0.0
-        es2, lmat2 = _pipeline(CNOT_REFINED, DESK)
         fresh_es = eigensystem(build_hamiltonian(CNOT_REFINED))
-        np.testing.assert_array_equal(es2.vectors, fresh_es.vectors)
-        np.testing.assert_array_equal(lmat2, _generators(build_hamiltonian(CNOT_REFINED), DESK)[2])
+        np.testing.assert_array_equal(es.vectors, fresh_es.vectors)
+        np.testing.assert_array_equal(lmat, _generators(build_hamiltonian(CNOT_REFINED), DESK)[2])
         ref = reference_liouvillian(fresh_es, DESK)
-        assert np.max(np.abs(lmat2 - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(lmat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestRedfieldTensor:

@@ -177,6 +177,17 @@ class TestSweep:
         with pytest.raises(InvalidParameterError, match="finite"):
             SweepGrid(param1="jy", param2="jz", **kwargs)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"param2": "jy"}, "both 'jy'"),
+        ({"fixed": {"jz": 1.0}}, "both swept and fixed"),
+        ({"param1": "jx", "closure": "jx_from_norm", "coupling_norm": 2.0}, "sets jx"),
+        ({"fixed": {"jx": 1.0}, "closure": "jx_from_norm", "coupling_norm": 2.0}, "sets jx"),
+    ], ids=["same-axes", "fixed-swept", "closure-swept-jx", "closure-fixed-jx"])
+    def test_conflicting_controls_rejected(self, change, message):
+        kwargs = {"param1": "jy", "param2": "jz", "values1": [0.5], "values2": [0.5], **change}
+        with pytest.raises(InvalidParameterError, match=message):
+            SweepGrid(**kwargs)
+
     @pytest.mark.parametrize("axis", ["values1", "values2"])
     def test_empty_axis_rejected(self, axis):
         values = {"values1": [0.5, 1.0], "values2": [0.5, 1.0], axis: []}
@@ -316,7 +327,7 @@ class TestSweep:
         assert res.argmin_cells(1e-12) == {(10, 38)}
 
     def test_sweep_bypasses_the_per_point_path(self, monkeypatch):
-        # Sweeps use the batched kernel: no _pipeline lookup and no
+        # Sweeps use the batched kernel: no _pipeline call and no
         # initial_purity_slope call, under any name.
         import degengate
         import degengate.redfield as redfield_mod
@@ -325,12 +336,14 @@ class TestSweep:
         def per_point(params, nm):
             raise AssertionError("sweep called initial_purity_slope")
 
+        def pipeline(params, nm):
+            raise AssertionError("sweep called _pipeline")
+
         for module in (degengate, redfield_mod, search_mod):
             monkeypatch.setattr(module, "initial_purity_slope", per_point)
-        before = redfield_mod._pipeline.cache_info()
+        monkeypatch.setattr(redfield_mod, "_pipeline", pipeline)
         res = sweep(fig1_grid(n=7), DESK)
         assert res.feasible.any()
-        assert redfield_mod._pipeline.cache_info() == before
 
     def test_records_roundtrip(self, monkeypatch):
         # Row i * n2 + j of rows() holds cell (i, j) as Python float, bool and
@@ -555,7 +568,7 @@ class TestDegeneracyBreakProbe:
 
     def test_probe_bypasses_the_per_point_path(self, monkeypatch):
         # The probe rates its draws with the sweep's batched kernel: no
-        # _pipeline lookup and no initial_purity_slope call, under any name.
+        # _pipeline call and no initial_purity_slope call, under any name.
         import degengate
         import degengate.redfield as redfield_mod
         import degengate.search as search_mod
@@ -563,13 +576,15 @@ class TestDegeneracyBreakProbe:
         def per_point(params, nm):
             raise AssertionError("probe called initial_purity_slope")
 
+        def pipeline(params, nm):
+            raise AssertionError("probe called _pipeline")
+
         for module in (degengate, redfield_mod, search_mod):
             monkeypatch.setattr(module, "initial_purity_slope", per_point)
-        before = redfield_mod._pipeline.cache_info()
+        monkeypatch.setattr(redfield_mod, "_pipeline", pipeline)
         worse, total, worst = degeneracy_break_probe(
             onestep_bgate().params, "double", PROBE_NOISE, draws=20)
         assert worse == total == 20 and worst > 1.0
-        assert redfield_mod._pipeline.cache_info() == before
 
     @pytest.mark.parametrize(
         "change, message",
