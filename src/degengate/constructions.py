@@ -190,13 +190,16 @@ def onestep_cnot(refined=True):
     )
 
 
+#: ``find_class_time_scale`` scans this many evenly spaced scales up to the max.
+CLASS_SCAN_SAMPLES, CLASS_SCALE_MAX = 2000, 4.0
+
+
 def _invariant_gap(u, target_inv: MakhlinInvariants):
     inv = makhlin_invariants(u)
     return abs(inv.g1 - target_inv.g1) + abs(inv.g2 - target_inv.g2)
 
 
-def find_class_time_scale(params: HamiltonianParams, target: GateTarget,
-                          scale_max=4.0, samples=2000):
+def find_class_time_scale(params: HamiltonianParams, target: GateTarget):
     """Smallest time scale s > 0 with exp(-i s t0 H) in the target's class.
 
     One-dimensional scan over s followed by local refinement of the
@@ -206,13 +209,13 @@ def find_class_time_scale(params: HamiltonianParams, target: GateTarget,
 
     h = build_hamiltonian(params) * params.t0
     target_inv = makhlin_invariants(target)
-    scales = np.linspace(scale_max / samples, scale_max, samples)
+    scales = np.linspace(CLASS_SCALE_MAX / CLASS_SCAN_SAMPLES, CLASS_SCALE_MAX, CLASS_SCAN_SAMPLES)
     gaps = np.array([_invariant_gap(expm(-1j * s * h), target_inv) for s in scales])
     order = np.argsort(gaps)
     best_s, best_gap = None, np.inf
     for idx in order[:5]:
         lo = scales[max(idx - 1, 0)]
-        hi = scales[min(idx + 1, samples - 1)]
+        hi = scales[min(idx + 1, CLASS_SCAN_SAMPLES - 1)]
         res = minimize_scalar(
             lambda s: _invariant_gap(expm(-1j * s * h), target_inv),
             bounds=(lo, hi),

@@ -68,16 +68,6 @@ class HamiltonianParams:
         """|J| = sqrt(jx^2 + jy^2 + jz^2) in reduced units."""
         return float(np.sqrt(self.jx**2 + self.jy**2 + self.jz**2))
 
-    def check_bounds(self, bounds):
-        """Raise unless |x_i| <= a_i for every control named in ``bounds``."""
-        for name, limit in bounds.items():
-            if name not in PARAM_NAMES:
-                raise InvalidParameterError(f"unknown control {name!r}")
-            if abs(getattr(self, name)) > limit:
-                raise InvalidParameterError(
-                    f"control {name}={getattr(self, name):g} exceeds bound {limit:g}"
-                )
-
     @classmethod
     def from_array(cls, values, t0=1.0):
         if len(values) != len(PARAM_NAMES):
@@ -182,6 +172,8 @@ def eigensystem(h):
 
     Raises
     ------
+    InvalidParameterError
+        If an entry is not finite.
     NonHermitianError
         If ``max|h - h^dagger|`` exceeds 1e-10.
     """
@@ -195,9 +187,12 @@ def eigensystem(h):
 def eigh_stack(h):
     """``np.linalg.eigh`` of a Hermitian matrix or a stack of them, in one call.
 
-    Raises NonHermitianError if any matrix deviates from its adjoint by
-    more than 1e-10 in max-norm.
+    Raises InvalidParameterError if any entry is not finite, and
+    NonHermitianError if any matrix deviates from its adjoint by more than
+    1e-10 in max-norm.
     """
+    if not np.isfinite(h).all():
+        raise InvalidParameterError("input matrix has a non-finite entry")
     if (np.abs(h - h.conj().swapaxes(-1, -2)) > HERMITICITY_TOL).any():
         raise NonHermitianError("input matrix is not Hermitian within 1e-10")
     return np.linalg.eigh(h)

@@ -166,8 +166,7 @@ class GateReport:
         return out
 
 
-def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel,
-           t0=None, equivalence_tol=DEFAULT_EQUIVALENCE_TOL):
+def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel, t0=None):
     """Assemble distance, invariants, equivalence and purity into a GateReport."""
     from scipy.linalg import expm
 
@@ -192,7 +191,7 @@ def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel,
         fidelity=fidelity_score(u, target),
         g1=inv.g1,
         g2=inv.g2,
-        equivalent=inv.distance(target_inv) < equivalence_tol,
+        equivalent=inv.distance(target_inv) < DEFAULT_EQUIVALENCE_TOL,
         purity_loss=purity_loss,
         decay_rate=rate,
         t0=t0,

@@ -59,12 +59,12 @@ one contraction.
 
 Gate purity is the 16-state average P(t) = (1/16) sum_j Tr[rho_j(t)^2]
 over all disentangled initial product states; its initial slope is
-evaluated analytically from the generator, never by fitting. Landscape
-sweeps take the same slope in closed form (``purity_slopes``): the
-coherent part drops out of d Tr rho^2 / dt and the 16-state mean is
-linear in M_a, so the slope is -4 sum_a Re Tr(M_a W_a) for constant 4x4
-matrices W_a. It is evaluated for a whole stack of eigensystems at once
-and builds neither a Liouvillian nor the product states.
+evaluated analytically, never by fitting. Purity traces, sweeps and the
+probe take it in closed form (``purity_slopes``): the coherent part drops
+out of d Tr rho^2 / dt and the 16-state mean is linear in M_a, so the
+slope is -4 sum_a Re Tr(M_a W_a) for constant 4x4 matrices W_a, with no
+Liouvillian or product state built. ``initial_purity_slope`` keeps the
+per-state sum as its reference and as the ``optimize`` purity term.
 """
 
 from dataclasses import dataclass
@@ -141,21 +141,20 @@ class DensityMatrix:
         ``eigen_floor`` bounds the transient negativity the (not
         completely positive) weak-coupling generator is allowed to
         produce; propagation routines widen it proportionally to the
-        bath coupling, since the initial slip scales with alpha.
+        bath coupling, since the initial slip scales with alpha. A failure
+        raises StateValidityError, prefixed ``state <state_index>: `` if given.
         """
         m = self.matrix
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise StateValidityError(
-                f"trace deviates from 1 by {abs(np.trace(m) - 1.0):.2e}",
-                state_index=state_index,
-            )
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise StateValidityError("state is not Hermitian", state_index=state_index)
-        lowest = np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
-        if lowest < eigen_floor:
-            raise StateValidityError(
-                f"negative eigenvalue {lowest:.2e} below floor", state_index=state_index
-            )
+            problem = f"trace deviates from 1 by {abs(np.trace(m) - 1.0):.2e}"
+        elif np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+            problem = "state is not Hermitian"
+        elif (lowest := np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) < eigen_floor:
+            problem = f"negative eigenvalue {lowest:.2e} below floor"
+        else:
+            return
+        prefix = "" if state_index is None else f"state {state_index}: "
+        raise StateValidityError(prefix + problem, state_index=state_index)
 
 
 def single_qubit_kets():
@@ -185,6 +184,12 @@ def initial_product_states():
             states[j] = np.outer(psi, psi.conj())
             j += 1
     return states
+
+
+#: Pauli coefficients of the 16 product states, one column per state in
+#: the order of :func:`initial_product_states`: every purity trace starts here.
+PRODUCT_COEFFS = (PAULI_ROWS @ initial_product_states().reshape(16, 16).T).real
+PRODUCT_COEFFS.flags.writeable = False
 
 
 def lambda_rates(es: EigenSystem, nm: NoiseModel):
@@ -434,26 +439,18 @@ def _bloch_generator(lmat):
     return bloch.real
 
 
-def _purity_slope(lmat, y):
-    """Mean over the vec(rho) columns of ``y`` of d/dt Tr rho^2 = 2 Re Tr(rho L rho)."""
-    total = 0.0
-    for rho in y.T:
-        total += 2.0 * np.einsum("ij,ji->", rho.reshape(4, 4), (lmat @ rho).reshape(4, 4)).real
-    return float(total / y.shape[1])
-
-
-def _product_vecs():
-    """The 16 product states as row-major vec(rho) columns, shape (16, 16)."""
-    return initial_product_states().reshape(16, 16).T
-
-
 def initial_purity_slope(params: HamiltonianParams, nm: NoiseModel):
-    """Analytic dP/dt at t = 0 for the 16-state gate purity.
+    """Analytic dP/dt at t = 0 for the 16-state gate purity, state by state.
 
-    Computed as (1/16) sum_j 2 Re Tr(rho_j drho_j/dt) from the generator's
-    right-hand side; no propagation or fitting involved.
+    Computed as (1/16) sum_j 2 Re Tr(rho_j L rho_j) from the configuration's
+    standard-basis generator L; no propagation or fitting involved. The
+    reference for ``purity_slopes`` and the ``optimize`` purity term.
     """
-    return _purity_slope(_pipeline(params, nm)[1], _product_vecs())
+    lmat = _pipeline(params, nm)[1]
+    total = 0.0
+    for rho in initial_product_states():
+        total += 2.0 * np.einsum("ij,ji->", rho, (lmat @ rho.reshape(16)).reshape(4, 4)).real
+    return float(total / 16)
 
 
 #: W_a = (1/16) sum_j rho_j [rho_j, A_a] over the 16 product states, the
@@ -481,27 +478,26 @@ def purity_slopes(energies, vectors, nm: NoiseModel):
     return -4.0 * np.einsum("akm,...amk->...", SLOPE_WEIGHTS, m).real
 
 
-def _purity_trace(segments, nm: NoiseModel):
+def _purity_trace(segments, es: EigenSystem, nm: NoiseModel):
     """Propagate the 16 product states through constant-generator segments.
 
     ``segments`` lists (standard-basis Liouvillian, duration, dt); each
-    segment is sampled on the ``_grid`` nearest dt. The states are
-    propagated as real Pauli coefficients under each segment's
-    ``_bloch_generator``, and their purities are |c|^2 / 4. The initial
-    slope is the analytic one of the first segment, taken from its complex
-    generator. Every final state is mapped back to a matrix and validated;
-    a failure is re-raised with the failing state's index.
+    segment is sampled on the ``_grid`` nearest dt. The states start from
+    PRODUCT_COEFFS and are propagated as real Pauli coefficients under each
+    segment's ``_bloch_generator``; their purities are |c|^2 / 4. The
+    initial slope is the closed form ``purity_slopes`` on ``es``, the
+    eigensystem of the first segment's Hamiltonian. Every final state is
+    mapped back to a matrix and validated with its state index.
     """
-    vecs = _product_vecs()
-    c = (PAULI_ROWS @ vecs).real
+    # First, not last: taken right before a CLI writes the trace, this call
+    # was measured to slow the CSV's float formatting by about a third.
+    slope = float(purity_slopes(es.energies, es.vectors, nm))
+    c = PRODUCT_COEFFS
     all_times = [np.zeros(1)]
     all_purity = [_purities(c[None])]
-    slope = None
     t_offset = 0.0
     for lmat, duration, dt in segments:
         n_steps, dt = _grid(duration, dt)
-        if slope is None:
-            slope = _purity_slope(lmat, vecs)
         seg_purity = np.empty((n_steps + 1, 16))
 
         def record(start, block):
@@ -515,10 +511,7 @@ def _purity_trace(segments, nm: NoiseModel):
     floor = _noise_eigen_floor(nm)
     rhos = (PAULI_ROWS.conj().T @ c / 4.0).T.reshape(16, 4, 4)
     for j, rho in enumerate(rhos):
-        try:
-            DensityMatrix(rho).validate(state_index=j, eigen_floor=floor)
-        except StateValidityError as exc:
-            raise StateValidityError(f"state {j}: {exc}", state_index=j) from exc
+        DensityMatrix(rho).validate(state_index=j, eigen_floor=floor)
 
     per_state = np.concatenate(all_purity)
     return PurityTrace(
@@ -537,15 +530,18 @@ def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None
     to resolve faster oscillations. Propagation is exact for any ``dt``, so
     a caller that needs only the final loss passes ``dt=t_final`` and gets
     a two-sample trace. A negative ``t_final`` or a ``dt`` that is not
-    positive raises InvalidParameterError. Per-state propagation failures
-    are re-raised with the failing state index attached.
+    positive raises InvalidParameterError. A state that fails validation
+    raises StateValidityError with its index attached. The initial slope
+    is the closed form ``purity_slopes`` on the eigensystem ``_pipeline``
+    returns with the generator.
     """
     if t_final is None:
         t_final = params.t0
     _check_times(t_final, dt)
     if dt is None:
         dt = params.t0 / DEFAULT_STEPS_PER_T0
-    return _purity_trace([(_pipeline(params, nm)[1], t_final, dt)], nm)
+    es, lmat = _pipeline(params, nm)
+    return _purity_trace([(lmat, t_final, dt)], es, nm)
 
 
 def sequence_gate_purity(segments, nm: NoiseModel):
@@ -553,21 +549,23 @@ def sequence_gate_purity(segments, nm: NoiseModel):
 
     ``segments`` is a list of (hamiltonian, duration) pairs in physical
     angular units and time units (t0 = 1) respectively; an empty list or a
-    negative duration raises InvalidParameterError. Each segment is sampled
-    every 1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least
-    one step). The standard-basis generators of all segments are built in
-    one ``_generators`` call; ``_purity_trace`` propagates the 16 product
-    states under their Pauli form. The initial slope is the analytic one
-    for the first segment's generator.
+    negative duration raises InvalidParameterError, and so does a
+    Hamiltonian with a non-finite entry. Each segment is sampled every
+    1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least one
+    step). The eigensystems and standard-basis generators of all segments
+    are built in one ``_generators`` call; ``_purity_trace`` propagates the
+    16 product states under their Pauli form. The initial slope is the
+    closed form ``purity_slopes`` on the first segment's eigensystem.
     """
     for _, duration in segments:
         _check_times(duration)
     hs = [np.asarray(h, dtype=complex) for h, _ in segments]
     if not hs or any(h.shape != (4, 4) for h in hs):
         raise InvalidParameterError("need at least one segment, each with a 4x4 Hamiltonian")
-    lmats = _generators(np.array(hs), nm)[2]
+    energies, vectors, lmats = _generators(np.array(hs), nm)
     dt = 1.0 / DEFAULT_STEPS_PER_T0
-    return _purity_trace([(lmat, duration, dt) for lmat, (_, duration) in zip(lmats, segments)], nm)
+    return _purity_trace([(lmat, duration, dt) for lmat, (_, duration) in zip(lmats, segments)],
+                         EigenSystem(energies[0], vectors[0]), nm)
 
 
 @dataclass(frozen=True)

@@ -549,8 +549,12 @@ class SensitivityReport:
     non_optimal: bool
 
 
+#: A coherent linear term above LINEAR_TOL * max(q, 1) marks a point non-optimal.
+LINEAR_TOL = 1e-6
+
+
 def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
-                gate_time=None, rel_step=2e-3, linear_tol=1e-6, target=None):
+                gate_time=None, rel_step=2e-3, target=None):
     """Central-difference quadratic sensitivity around an optimum.
 
     Detunes every nonzero control by +-rel_step (relative), fits the
@@ -559,7 +563,7 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     tolerance radius at the given budget.
 
     When ``target`` is given (a GateTarget or unitary), the coherent error
-    is measured against it and a linear term above ``linear_tol`` flags
+    is measured against it and a linear term above ``LINEAR_TOL`` flags
     the point as non-optimal. Without a target the error is measured
     against the gate the point itself realizes, which is the right notion
     for equivalence-class constructions; that reference is stationary by
@@ -584,15 +588,12 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         else 0.0
     )
 
-    def coherent(p):
+    def errors(p):
         u = expm(-1j * gate_time * build_hamiltonian(p))
-        return 1.0 - abs(np.trace(u0.conj().T @ u)) / 4.0
-
-    def total(p):
-        err = coherent(p)
+        coh = err = 1.0 - abs(np.trace(u0.conj().T @ u)) / 4.0
         if nm.alpha > 0.0:
             err += gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss() - base_loss
-        return err
+        return coh, err
 
     quadratic, linear, coh_linear, radii = {}, {}, {}, {}
     non_optimal = False
@@ -603,14 +604,13 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         dp = abs(v) * rel_step
         p_plus = params.replace(**{name: v + dp})
         p_minus = params.replace(**{name: v - dp})
-        e_plus, e_minus = total(p_plus), total(p_minus)
-        c_plus, c_minus = coherent(p_plus), coherent(p_minus)
+        (c_plus, e_plus), (c_minus, e_minus) = errors(p_plus), errors(p_minus)
         q = (e_plus + e_minus) / (2.0 * rel_step**2)
         quadratic[name] = float(q)
         linear[name] = float((e_plus - e_minus) / (2.0 * rel_step))
         coh_lin = (c_plus - c_minus) / (2.0 * rel_step)
         coh_linear[name] = float(coh_lin)
-        if check_linear and abs(coh_lin) > linear_tol * max(q, 1.0):
+        if check_linear and abs(coh_lin) > LINEAR_TOL * max(q, 1.0):
             non_optimal = True
         radii[name] = float(np.sqrt(budget / q)) if q > 0 else np.inf
     return SensitivityReport(
@@ -633,6 +633,9 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
 #: reservoir temperature in kelvin to the quoted-frequency unit system.
 KB_OVER_H_GHZ_PER_K = 20.836619
 
+#: Reduced cutoff and default reduced temperature of a calibrated noise model.
+CALIBRATION_CUTOFF, CALIBRATION_TEMPERATURE = 20.0, 0.2
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -654,8 +657,7 @@ class CalibrationResult:
     flagged: bool
 
 
-def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None,
-              cutoff_reduced=20.0, temperature_reduced=0.2):
+def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None):
     """Extract the Ohmic coupling from a measured single-qubit 1/T1.
 
     Solves t1_inverse = S(2 Delta) / pi, the exact relaxation rate of the
@@ -664,7 +666,7 @@ def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None,
     device numbers in their quoted units. The returned reduced NoiseModel
     is ready for gate runs where the device tunneling amplitude maps to
     one reduced unit; when ``temperature_kelvin`` is omitted the reduced
-    temperature defaults to ``temperature_reduced``.
+    temperature is CALIBRATION_TEMPERATURE.
     """
     if delta_ghz <= 0:
         raise InvalidParameterError("delta_ghz must be positive")
@@ -674,7 +676,7 @@ def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None,
         t_machine = KB_OVER_H_GHZ_PER_K * temperature_kelvin
         t_reduced = t_machine / delta_ghz
     else:
-        t_reduced = temperature_reduced
+        t_reduced = CALIBRATION_TEMPERATURE
         t_machine = t_reduced * delta_ghz
 
     if t1_inverse_ghz == 0.0:
@@ -688,7 +690,7 @@ def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None,
     if flagged:
         warnings.warn(f"calibrated alpha={alpha:g} is outside the weak-coupling regime")
     noise = NoiseModel.from_reduced(
-        alpha=alpha, temperature=t_reduced, cutoff=cutoff_reduced
+        alpha=alpha, temperature=t_reduced, cutoff=CALIBRATION_CUTOFF
     )
     return CalibrationResult(
         alpha=float(alpha),

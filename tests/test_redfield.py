@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -38,6 +40,21 @@ from conftest import eigen_liouvillian, random_params, reference_liouvillian
 SQ7_4 = np.sqrt(7.0) / 4.0
 CNOT_REFINED = HamiltonianParams(delta2=1.5, eps1=-0.25, eps2=-SQ7_4, jz=-SQ7_4)
 DESK = NoiseModel.from_reduced()
+
+
+def per_state_slope(es, nm):
+    """(1/16) sum_j 2 Re Tr(rho_j drho_j/dt) over the 16 product states.
+
+    Each term comes from the eigenbasis generator's right-hand side, one
+    state at a time: the per-state reference for the closed-form slope.
+    """
+    lmat = eigen_liouvillian(es, nm)
+    total = 0.0
+    for rho in initial_product_states():
+        rho_e = es.to_eigenbasis(rho)
+        drho = (lmat @ rho_e.reshape(16)).reshape(4, 4)
+        total += 2.0 * np.einsum("ij,ji->", rho_e, drho).real
+    return total / 16.0
 
 
 def _per_state_purity(y):
@@ -343,20 +360,15 @@ class TestGatePurity:
             gate_purity(CNOT_REFINED, DESK, **times)
 
     def test_slope_matches_per_state_loop(self, rng):
-        # Reference: the slope summed one state at a time from the
-        # generator's right-hand side in the eigenbasis.
+        # The trace's slope is the closed form on the eigensystem _pipeline returns.
         for _ in range(20):
             params = random_params(rng, scale=1.5)
             es, _ = _pipeline(params, DESK)
-            lmat = eigen_liouvillian(es, DESK)
-            total = 0.0
-            for rho in initial_product_states():
-                rho_e = es.to_eigenbasis(rho)
-                drho = (lmat @ rho_e.reshape(16)).reshape(4, 4)
-                total += 2.0 * np.einsum("ij,ji->", rho_e, drho).real
-            assert initial_purity_slope(params, DESK) == pytest.approx(total / 16.0, rel=1e-12)
-            assert gate_purity(params, DESK, dt=params.t0).initial_slope == (
-                initial_purity_slope(params, DESK))
+            ref = per_state_slope(es, DESK)
+            assert initial_purity_slope(params, DESK) == pytest.approx(ref, rel=1e-12)
+            slope = gate_purity(params, DESK, dt=params.t0).initial_slope
+            assert slope == float(purity_slopes(es.energies, es.vectors, DESK))
+            assert slope == pytest.approx(ref, rel=1e-12)
 
 
 BGATE = onestep_bgate(refined=True).params
@@ -453,9 +465,9 @@ class TestExactEngine:
         assert np.max(np.abs(trace.per_state - ref)) <= 1e-12
 
     def test_non_hermiticity_preserving_generator_rejected(self):
-        _, lmat = _pipeline(CNOT_REFINED, DESK)
+        es, lmat = _pipeline(CNOT_REFINED, DESK)
         with pytest.raises(IntegrationError, match="Hermiticity"):
-            _purity_trace([(lmat + 1e-3j * np.eye(16), 1.0, 0.1)], DESK)
+            _purity_trace([(lmat + 1e-3j * np.eye(16), 1.0, 0.1)], es, DESK)
 
     def test_propagate_history_matches_sequential_products(self):
         es, _ = _pipeline(CNOT_REFINED, DESK)
@@ -486,6 +498,23 @@ class TestSequencePurity:
         ref = gate_purity(CNOT_REFINED, DESK)
         assert seq_trace.loss() == pytest.approx(ref.loss(), rel=1e-6, abs=1e-10)
         assert seq_trace.initial_slope == pytest.approx(ref.initial_slope, rel=1e-9)
+
+    def test_slope_is_closed_form_of_first_segment(self):
+        segments = [(build_hamiltonian(BGATE), 0.5),
+                    (build_hamiltonian(HamiltonianParams(delta1=0.7, jx=0.4)), 0.25)]
+        trace = sequence_gate_purity(segments, DESK)
+        energies, vectors, _ = _generators(np.array([h for h, _ in segments]), DESK)
+        assert trace.initial_slope == float(purity_slopes(energies[0], vectors[0], DESK))
+        ref = per_state_slope(eigensystem(segments[0][0]), DESK)
+        assert trace.initial_slope == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("leading", [0, 1], ids=["alone", "second"])
+    def test_non_finite_hamiltonian_rejected(self, leading):
+        segments = [(build_hamiltonian(BGATE), 0.5)] * leading + [(np.full((4, 4), np.nan), 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="non-finite"):
+                sequence_gate_purity(segments, DESK)
 
     def test_zero_noise_stays_pure(self):
         nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
