@@ -34,7 +34,13 @@ from .config import (
     resolve_sweep_grid,
     validate_config,
 )
-from .constructions import comparison_noise, protocol_comparison, target_gate
+from .constructions import (
+    cnot_class_pulse,
+    comparison_noise,
+    onestep_bgate,
+    protocol_comparison,
+    target_gate,
+)
 from .errors import (
     ConfigError,
     DegengateError,
@@ -42,7 +48,7 @@ from .errors import (
     InvalidParameterError,
     StateValidityError,
 )
-from .hamiltonian import build_hamiltonian, classify_degeneracy, eigensystem
+from .hamiltonian import build_hamiltonian, classify_degeneracy, eigensystem, pulse_unitary
 from .metrics import makhlin_invariants, report
 from .presets import experiment_config
 from .redfield import RELAXATION_NORMALIZATION, gate_purity
@@ -293,10 +299,8 @@ def cmd_invariants(args):
     else:
         cfg = _load(args)
         if "hamiltonian" in cfg:
-            from scipy.linalg import expm
-
             params, gate_time, label = resolve_hamiltonian(cfg)
-            u = expm(-1j * gate_time * build_hamiltonian(params))
+            u = pulse_unitary(build_hamiltonian(params), gate_time)
         else:
             u = target_gate(cfg.get("target", "CNOT")).matrix
             label = cfg.get("target", "CNOT")
@@ -353,8 +357,6 @@ def cmd_calibrate(args):
     )
     # Loss estimates for the two published one-step constructions at the
     # calibrated coupling, both over one nominal gate duration.
-    from .constructions import cnot_class_pulse, onestep_bgate
-
     b_gate = onestep_bgate(refined=True)
     t_b = b_gate.params.t0
     loss_b = gate_purity(b_gate.params, cal.noise, t_final=t_b, dt=t_b).loss()

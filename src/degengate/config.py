@@ -19,6 +19,7 @@ from .constructions import (
 from .errors import ConfigError
 from .hamiltonian import PARAM_NAMES, HamiltonianParams
 from .noise import NoiseModel
+from .search import SweepGrid, fig1_grid
 
 _PARAM_KEYS = set(PARAM_NAMES) | {"t0"}
 
@@ -204,8 +205,6 @@ def resolve_noise(cfg, t0=1.0):
 
 
 def resolve_sweep_grid(cfg):
-    from .search import SweepGrid, fig1_grid
-
     sw = cfg.get("sweep")
     if not sw:
         return fig1_grid()

@@ -15,13 +15,13 @@ the comparison baseline.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidParameterError
-from .hamiltonian import HamiltonianParams, build_hamiltonian
+from .hamiltonian import HamiltonianParams, build_hamiltonian, pulse_unitary
 from .metrics import GateTarget, MakhlinInvariants, makhlin_invariants
 from .noise import NoiseModel
 from .pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, SX2, SZ1, SZ2, pauli_tensor
+from .redfield import gate_purity, sequence_gate_purity
 
 SQRT7_OVER_4 = np.sqrt(7.0) / 4.0
 
@@ -51,8 +51,8 @@ _QFT2 = 0.5 * np.array(
 )
 # Canonical B-gate representative: the nonlocal kernel at Cartan angles
 # (pi/4, pi/8, 0), whose invariants are G1 = G2 = 0.
-_BGATE = expm(
-    1j * (np.pi / 4.0 * pauli_tensor("x", "x") + np.pi / 8.0 * pauli_tensor("y", "y"))
+_BGATE = pulse_unitary(
+    np.pi / 4.0 * pauli_tensor("x", "x") + np.pi / 8.0 * pauli_tensor("y", "y"), -1.0
 )
 
 _TARGETS = {
@@ -114,8 +114,8 @@ def _branch_blocks(branch: LogBranch):
     b += 2.0 * np.pi * branch.n3 * np.eye(4)
 
     phi = np.asarray(branch.phi_vec, dtype=float)
-    upper = expm(1j * (phi[0] * SIGMA_X + phi[1] * SIGMA_Y + phi[2] * SIGMA_Z))
-    lower = expm(1j * branch.phi1 * SIGMA_X)
+    upper = pulse_unitary(phi[0] * SIGMA_X + phi[1] * SIGMA_Y + phi[2] * SIGMA_Z, -1.0)
+    lower = pulse_unitary(SIGMA_X, -branch.phi1)
     c = np.zeros((4, 4), dtype=complex)
     c[:2, :2] = upper
     c[2:, 2:] = lower
@@ -165,7 +165,7 @@ class OneStepGate:
         return self.gate_time if self.gate_time is not None else self.params.t0
 
     def unitary(self):
-        return expm(-1j * self.duration * build_hamiltonian(self.params))
+        return pulse_unitary(build_hamiltonian(self.params), self.duration)
 
 
 def onestep_cnot(refined=True):
@@ -210,14 +210,14 @@ def find_class_time_scale(params: HamiltonianParams, target: GateTarget):
     h = build_hamiltonian(params) * params.t0
     target_inv = makhlin_invariants(target)
     scales = np.linspace(CLASS_SCALE_MAX / CLASS_SCAN_SAMPLES, CLASS_SCALE_MAX, CLASS_SCAN_SAMPLES)
-    gaps = np.array([_invariant_gap(expm(-1j * s * h), target_inv) for s in scales])
+    gaps = np.array([_invariant_gap(pulse_unitary(h, s), target_inv) for s in scales])
     order = np.argsort(gaps)
     best_s, best_gap = None, np.inf
     for idx in order[:5]:
         lo = scales[max(idx - 1, 0)]
         hi = scales[min(idx + 1, CLASS_SCAN_SAMPLES - 1)]
         res = minimize_scalar(
-            lambda s: _invariant_gap(expm(-1j * s * h), target_inv),
+            lambda s: _invariant_gap(pulse_unitary(h, s), target_inv),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-12},
@@ -298,8 +298,7 @@ def refine_bgate(start=None):
         if jy <= 0 or scale <= 0:
             return 1e6
         p = HamiltonianParams(delta1=delta, delta2=delta, jy=jy, jz=delta**2 / jy)
-        u = expm(-1j * scale * build_hamiltonian(p))
-        return _invariant_gap(u, target_inv)
+        return _invariant_gap(pulse_unitary(build_hamiltonian(p), scale), target_inv)
 
     res = minimize(
         objective,
@@ -333,7 +332,7 @@ class PulseStep:
     duration: float
 
     def unitary(self):
-        return expm(-1j * self.angle * self.generator)
+        return pulse_unitary(self.generator, self.angle)
 
     def hamiltonian(self):
         """Physical Hamiltonian realizing the step over its duration."""
@@ -392,8 +391,6 @@ def protocol_comparison(nm=None, amplitude_bound=None):
     purity traces, the duration ratio (one-step over sequence) and the
     purity-loss ratio (sequence over one-step).
     """
-    from .redfield import gate_purity, sequence_gate_purity
-
     if nm is None:
         nm = comparison_noise()
     if amplitude_bound is None:

@@ -1,4 +1,4 @@
-"""Two-qubit control Hamiltonian, its spectrum, and degeneracy diagnostics.
+"""Two-qubit control Hamiltonian, its pulse unitary, its spectrum, and degeneracy diagnostics.
 
 The Hamiltonian is
 
@@ -15,6 +15,7 @@ exp(-i pi/4 - i t0 H).
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import InvalidParameterError, NonHermitianError
 from .pauli import pauli_tensor
@@ -107,6 +108,16 @@ def build_hamiltonians(controls, t0=1.0):
 def build_hamiltonian(p: HamiltonianParams):
     """The 4x4 Hamiltonian of one control point (see :func:`build_hamiltonians`)."""
     return build_hamiltonians(p.as_array(), p.t0)
+
+
+def pulse_unitary(h, duration=1.0):
+    """The unitary of one constant pulse, exp(-i duration h), by ``scipy.linalg.expm``.
+
+    Every closed-system gate unitary goes through here. Write exp(+i t A)
+    as ``pulse_unitary(A, -t)``: it rounds like ``expm(1j * t * A)`` down to
+    the sign of zero, which ``pulse_unitary(-A, t)`` does not always do.
+    """
+    return expm(-1j * duration * h)
 
 
 def build_hamiltonian_from_paulis(p: HamiltonianParams):
@@ -233,7 +244,6 @@ class DegeneracyReport:
     min_gap: float
     pair_gaps: tuple
     classification: str
-    tol: float
 
     @property
     def pair_gap_measure(self):
@@ -252,6 +262,18 @@ def degeneracy_classes(adjacent, tol):
     return np.where(double, "double", np.where(degenerate.any(axis=-1), "single", "none"))
 
 
+def constraint_gap(adjacent, constraint):
+    """The gap a degeneracy constraint closes, from adjacent gaps of shape (..., 3).
+
+    ``constraint`` is 'single' or 'double' (callers check it). 'single'
+    closes the smallest gap; 'double' closes the lower and the upper pair,
+    so its gap is the larger of the two (``pair_gap_measure``).
+    """
+    if constraint == "double":
+        return np.maximum(adjacent[..., 0], adjacent[..., 2])
+    return adjacent.min(axis=-1)
+
+
 def classify_degeneracy(es, tol=DEFAULT_DEGENERACY_TOL):
     """Classify the degeneracy structure of an EigenSystem or energy array."""
     if tol <= 0:
@@ -262,5 +284,4 @@ def classify_degeneracy(es, tol=DEFAULT_DEGENERACY_TOL):
         min_gap=float(np.min(adjacent)),
         pair_gaps=(float(adjacent[0]), float(adjacent[2])),
         classification=str(degeneracy_classes(adjacent, tol)),
-        tol=tol,
     )

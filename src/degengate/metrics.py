@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUnitaryError
-from .hamiltonian import HamiltonianParams
+from .hamiltonian import HamiltonianParams, build_hamiltonian, pulse_unitary
 from .noise import NoiseModel
+from .redfield import gate_purity
 
 UNITARITY_TOL = 1e-8
 DEFAULT_EQUIVALENCE_TOL = 1e-6
@@ -168,14 +169,9 @@ class GateReport:
 
 def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel, t0=None):
     """Assemble distance, invariants, equivalence and purity into a GateReport."""
-    from scipy.linalg import expm
-
-    from .hamiltonian import build_hamiltonian
-    from .redfield import gate_purity
-
     if t0 is None:
         t0 = params.t0
-    u = expm(-1j * t0 * build_hamiltonian(params))
+    u = pulse_unitary(build_hamiltonian(params), t0)
     raw, phase_opt = gate_distance(u, target)
     inv = makhlin_invariants(u)
     target_inv = makhlin_invariants(target)

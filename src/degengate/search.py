@@ -19,31 +19,22 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
+from .constructions import target_gate
 from .errors import DegengateError, InvalidParameterError
 from .hamiltonian import (
     PARAM_NAMES,
     HamiltonianParams,
     build_hamiltonian,
     build_hamiltonians,
+    constraint_gap,
     degeneracy_classes,
     eigh_stack,
+    pulse_unitary,
 )
 from .metrics import GateReport, GateTarget, makhlin_invariants, report
 from .noise import NoiseModel
 from .redfield import gate_purity, initial_purity_slope, purity_slopes
-
-
-def _degeneracy_violation(energies, constraint):
-    """Gap (in reduced units) of the pair(s) the constraint wants closed."""
-    e = np.sort(energies) / np.pi
-    adjacent = np.diff(e)
-    if constraint == "single":
-        return float(np.min(adjacent))
-    if constraint == "double":
-        return float(max(adjacent[0], adjacent[2]))
-    return 0.0
 
 
 def _check_coupling_norm(norm):
@@ -136,11 +127,7 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
     """
     if nm is None:
         nm = NoiseModel.from_reduced()
-    target = spec.target if isinstance(spec.target, GateTarget) else None
-    if target is None:
-        from .constructions import target_gate
-
-        target = target_gate(spec.target)
+    target = spec.target if isinstance(spec.target, GateTarget) else target_gate(spec.target)
     names = sorted(spec.bounds)
     lows = np.array([spec.bounds[n][0] for n in names])
     highs = np.array([spec.bounds[n][1] for n in names])
@@ -152,13 +139,12 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
             purity_weight = spec.purity_weight
         p = _spec_params(spec, np.clip(x, lows, highs))
         h = build_hamiltonian(p)
-        u = expm(-1j * spec.gate_time * h)
+        u = pulse_unitary(h, spec.gate_time)
         overlap = abs(np.trace(target.matrix.conj().T @ u))
         dist2 = max(8.0 - 2.0 * overlap, 0.0)
         value = spec.distance_weight * dist2
         if spec.degeneracy != "none":
-            energies = np.linalg.eigvalsh(h)
-            gap = _degeneracy_violation(energies, spec.degeneracy)
+            gap = constraint_gap(np.diff(np.linalg.eigvalsh(h) / np.pi), spec.degeneracy)
             value += spec.degeneracy_weight * gap**2
         if purity_weight > 0.0 and nm.alpha > 0.0:
             value += purity_weight * abs(initial_purity_slope(p, nm)) * spec.gate_time
@@ -406,8 +392,8 @@ def sweep(grid: SweepGrid, nm: NoiseModel):
         for js, (rate, classes, adjacent) in done:
             decay[i, js] = rate
             classification[i, js] = classes
-            min_gap[i, js] = adjacent.min(axis=-1) / np.pi
-            pair_gap[i, js] = np.maximum(adjacent[:, 0], adjacent[:, 2]) / np.pi
+            min_gap[i, js] = constraint_gap(adjacent, "single") / np.pi
+            pair_gap[i, js] = constraint_gap(adjacent, "double") / np.pi
             ground_gap[i, js] = adjacent[:, 0] / np.pi
             feasible[i, js] = True
     return SweepResult(
@@ -513,10 +499,7 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
         controls = np.tile(point, (len(candidates), 1))
         controls[:, couplings] = np.array(candidates) / params.t0
         rates, classes, adjacent = _sweep_cells(controls, nm, 1e-8)
-        if expected == "double":
-            broken_gap = np.maximum(adjacent[:, 0], adjacent[:, 2]) / np.pi
-        else:
-            broken_gap = adjacent.min(axis=-1) / np.pi
+        broken_gap = constraint_gap(adjacent, expected) / np.pi
         kept = rates[(classes != expected) & (broken_gap >= gap_floor)]
         total += kept.size
         worse += int(np.count_nonzero(kept > base))
@@ -577,7 +560,7 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     if gate_time is None:
         gate_time = params.t0
     if target is None:
-        u0 = expm(-1j * gate_time * build_hamiltonian(params))
+        u0 = pulse_unitary(build_hamiltonian(params), gate_time)
         check_linear = False
     else:
         u0 = target.matrix if isinstance(target, GateTarget) else np.asarray(target)
@@ -589,7 +572,7 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     )
 
     def errors(p):
-        u = expm(-1j * gate_time * build_hamiltonian(p))
+        u = pulse_unitary(build_hamiltonian(p), gate_time)
         coh = err = 1.0 - abs(np.trace(u0.conj().T @ u)) / 4.0
         if nm.alpha > 0.0:
             err += gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss() - base_loss

@@ -8,10 +8,12 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+import scipy.linalg
 
 import degengate
 
@@ -54,6 +56,17 @@ def test_import_leaves_out(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_pulse_unitary_is_the_only_closed_system_expm():
+    # Gate unitaries go through hamiltonian.pulse_unitary; redfield keeps
+    # its own expm for the Liouvillian.
+    binders = set()
+    for info in pkgutil.iter_modules(degengate.__path__):
+        module = importlib.import_module(f"degengate.{info.name}")
+        if any(value is scipy.linalg.expm for value in vars(module).values()):
+            binders.add(info.name)
+    assert binders == {"hamiltonian", "redfield"}
 
 
 def test_benchmark_selftest_passes():

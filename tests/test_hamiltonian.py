@@ -15,6 +15,7 @@ from degengate.errors import InvalidParameterError, NonHermitianError
 from degengate.hamiltonian import (
     build_hamiltonian_from_paulis,
     build_hamiltonians,
+    constraint_gap,
     degeneracy_classes,
     eigh_stack,
 )
@@ -228,10 +229,14 @@ class TestClassifyDegeneracy:
         adjacent = np.where(close, 1e-9, np.diff(energies, axis=1))
         energies = np.concatenate([energies[:, :1], energies[:, :1] + np.cumsum(adjacent, axis=1)],
                                   axis=1)
-        classes = degeneracy_classes(np.diff(energies, axis=1), 1e-6)
+        adjacent = np.diff(energies, axis=1)
+        classes = degeneracy_classes(adjacent, 1e-6)
+        single, double = constraint_gap(adjacent, "single"), constraint_gap(adjacent, "double")
         assert set(classes) == {"none", "single", "double"}
-        for e, cls in zip(energies, classes):
-            assert classify_degeneracy(e, 1e-6).classification == cls
+        for e, cls, g1, g2 in zip(energies, classes, single, double):
+            rep = classify_degeneracy(e, 1e-6)
+            assert rep.classification == cls
+            assert (rep.min_gap, rep.pair_gap_measure) == (g1, g2)
 
     def test_tolerance_positive(self):
         with pytest.raises(InvalidParameterError):
