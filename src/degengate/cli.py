@@ -237,7 +237,7 @@ def cmd_sweep(args):
     nm = resolve_noise(cfg)
     result = sweep(grid, nm)
     write_csv(os.path.join(out, "sweep.csv"), result.record_keys(), result.rows())
-    argmin = sorted(result.argmin_cells(1e-12))
+    argmin = sorted(result.argmin_cells())
     feasible_rates = result.decay_rate[result.feasible]
     min_rate = float(feasible_rates.min()) if feasible_rates.size else None
     payload = {

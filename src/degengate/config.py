@@ -62,16 +62,13 @@ _SCHEMA = {
         "frozen": dict,
         "degeneracy": str,
         "coupling_norm": (int, float),
-        "distance_weight": (int, float),
         "purity_weight": (int, float),
-        "degeneracy_weight": (int, float),
         "restarts": int,
         "max_iter": int,
         "distance_threshold": (int, float),
     },
     "sensitivity": {
         "budget": (int, float),
-        "rel_step": (int, float),
     },
     "calibrate": {
         "delta_ghz": (int, float),
@@ -211,22 +208,16 @@ def resolve_sweep_grid(cfg):
     missing = [k for k in ("start1", "stop1", "n1", "start2", "stop2", "n2") if k not in sw]
     if missing:
         raise ConfigError(f"sweep needs {', '.join('sweep.' + k for k in missing)}")
-    kwargs = {}
-    if "fixed" in sw:
-        kwargs["fixed"] = {k: float(v) for k, v in sw["fixed"].items()}
-    if "closure" in sw:
-        kwargs["closure"] = sw["closure"]
-    if "coupling_norm" in sw:
-        kwargs["coupling_norm"] = float(sw["coupling_norm"])
-    if "degeneracy_tol" in sw:
-        kwargs["degeneracy_tol"] = float(sw["degeneracy_tol"])
+    # These keys are SweepGrid field names; absent keys keep its defaults.
+    fields = {k: sw[k] for k in ("fixed", "closure", "coupling_norm", "degeneracy_tol")
+              if k in sw}
     try:
         return SweepGrid(
             param1=sw.get("param1", "jy"),
             param2=sw.get("param2", "jz"),
             values1=np.linspace(float(sw["start1"]), float(sw["stop1"]), int(sw["n1"])),
             values2=np.linspace(float(sw["start2"]), float(sw["stop2"]), int(sw["n2"])),
-            **kwargs,
+            **fields,
         )
     except ValueError as exc:  # InvalidParameterError, or a negative count
         raise ConfigError(f"sweep: {exc}") from exc

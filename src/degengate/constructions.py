@@ -122,16 +122,15 @@ def _branch_blocks(branch: LogBranch):
     return a, b, c
 
 
-def cnot_log_family(branch: LogBranch, t0=1.0):
-    """Hermitian generator H with exp(-i t0 H) = e^{-i phi0} CNOT.
+def cnot_log_family(branch: LogBranch):
+    """Hermitian generator H with exp(-i H) = e^{-i phi0} CNOT.
 
     Every integer branch (n1, n2, n3) and every continuous (phi_vec, phi1)
     yields the same gate up to the phase; the A and B pieces commute for
     all branches.
     """
     a, b, c = _branch_blocks(branch)
-    h = c @ (a + b) @ c.conj().T / t0
-    return h
+    return c @ (a + b) @ c.conj().T
 
 
 def log_branch_commutator(branch: LogBranch):
@@ -280,16 +279,16 @@ def onestep_bgate(refined=True):
     )
 
 
-def refine_bgate(start=None):
+def refine_bgate():
     """Polish (Jy, time scale) so the invariants hit (0, 0) exactly.
 
-    Keeps the double degeneracy exact by tying Jz = Delta^2/Jy throughout.
+    Starts from ``onestep_bgate(refined=True)`` and keeps the double
+    degeneracy exact by tying Jz = Delta^2/Jy throughout.
     Returns (OneStepGate, invariant gap achieved).
     """
     from scipy.optimize import minimize  # about 0.3 s to import
 
-    if start is None:
-        start = onestep_bgate(refined=True)
+    start = onestep_bgate(refined=True)
     target_inv = makhlin_invariants(target_gate("B"))
     delta = start.params.delta1
 

@@ -14,7 +14,7 @@ before and after) iff their Makhlin invariants coincide:
 with m = X_B^T X_B and X_B the gate rotated to the Bell (magic) basis.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,12 +41,12 @@ MAGIC_BASIS = (1.0 / np.sqrt(2.0)) * np.array(
 )
 
 
-def assert_unitary(u, tol=UNITARITY_TOL, name="matrix"):
+def assert_unitary(u, name="matrix"):
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise NonUnitaryError(f"{name} must be 4x4")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise NonUnitaryError(f"{name} is not unitary (defect {defect:.2e})")
     return u
 
@@ -114,11 +114,11 @@ def makhlin_invariants(x):
     return MakhlinInvariants(g1=complex(g1), g2=complex(g2))
 
 
-def is_equivalent(u, x, tol=DEFAULT_EQUIVALENCE_TOL):
-    """Local equivalence test by coincidence of Makhlin invariants."""
+def is_equivalent(u, x):
+    """Local equivalence test: Makhlin invariants within DEFAULT_EQUIVALENCE_TOL."""
     gu = u if isinstance(u, MakhlinInvariants) else makhlin_invariants(u)
     gx = x if isinstance(x, MakhlinInvariants) else makhlin_invariants(x)
-    return gu.distance(gx) < tol
+    return gu.distance(gx) < DEFAULT_EQUIVALENCE_TOL
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,9 @@ class GateReport:
             "t0": self.t0,
         }
         if self.params is not None:
-            out["params"] = {
-                name: getattr(self.params, name)
-                for name in ("delta1", "delta2", "eps1", "eps2", "jx", "jy", "jz", "t0")
-            }
+            out["params"] = asdict(self.params)
         if self.noise is not None:
-            out["noise"] = {
-                "alpha": self.noise.alpha,
-                "temperature": self.noise.temperature,
-                "cutoff": self.noise.cutoff,
-            }
+            out["noise"] = asdict(self.noise)
         return out
 
 

@@ -408,9 +408,9 @@ class PurityTrace:
         """|dP/dt| at t = 0, the Markovian figure of merit."""
         return abs(self.initial_slope)
 
-    def loss(self, index=-1):
-        """Purity loss 1 - P at a sample index (default: end of the run)."""
-        return float(1.0 - self.average[index])
+    def loss(self):
+        """Purity loss 1 - P at the end of the run."""
+        return float(1.0 - self.average[-1])
 
 
 def _purities(block):
@@ -582,22 +582,19 @@ class RelaxationCheck:
         return self.fitted_rate / self.analytic_rate
 
 
-def relax_time_check(delta, nm: NoiseModel, fit_points=400):
+def relax_time_check(delta, nm: NoiseModel):
     """Fit 1/T1 for a single uncoupled qubit and compare to (pi/2) S(Delta).
 
     ``delta`` is the qubit's sigma_x coefficient in the same angular units
     as the noise model. The excited-state population decays toward 1/2
     (the generator has no detailed balance); the decay constant is fitted
-    log-linearly to fit_points + 1 equally spaced samples (fit_points of at
-    least 2, else InvalidParameterError). The returned ratio
+    log-linearly to 401 equally spaced samples. The returned ratio
     fitted/analytic is the normalization constant RELAXATION_NORMALIZATION
     (= 4/pi^2 as T -> 0), because the generator's exact rate is
     S(2 Delta)/pi.
     """
     if delta <= 0:
         raise InvalidParameterError("delta must be positive")
-    if not fit_points >= 2:
-        raise InvalidParameterError(f"fit_points must be at least 2, got {fit_points}")
     if nm.alpha == 0.0:
         return RelaxationCheck(fitted_rate=0.0, analytic_rate=0.0)
 
@@ -612,7 +609,7 @@ def relax_time_check(delta, nm: NoiseModel, fit_points=400):
     up = np.array([1.0, 0.0])
     rho0 = DensityMatrix.from_ket(np.kron(plus, up))
     params = HamiltonianParams(delta1=delta / np.pi, t0=1.0)
-    traj = propagate(rho0, params, nm, t_final, t_final / fit_points, validate=False)
+    traj = propagate(rho0, params, nm, t_final, t_final / 400, validate=False)
 
     proj = np.kron(np.outer(plus, plus), np.eye(2))
     pop = np.einsum("ij,tji->t", proj, traj.matrices).real

@@ -2,8 +2,8 @@
 
 The optimizer minimizes
 
-    distance_weight * d_opt^2 + purity_weight * (short-time purity loss)
-    + degeneracy_weight * (constrained pair gap)^2
+    d_opt^2 + purity_weight * (short-time purity loss)
+    + 100 * (constrained pair gap)^2
 
 over a bounded subset of the seven controls, using seeded Sobol restarts
 of a Nelder-Mead simplex; everything is deterministic for a fixed seed.
@@ -42,6 +42,11 @@ def _check_coupling_norm(norm):
         raise InvalidParameterError(f"coupling_norm must be finite and non-negative, got {norm}")
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass
 class SearchSpec:
     """Everything a deterministic optimization run needs.
@@ -51,7 +56,8 @@ class SearchSpec:
     spectral constraint to enforce ('none', 'single' or 'double') through
     a quadratic gap penalty, and ``coupling_norm``, when set, fixes
     |J| = sqrt(jx^2+jy^2+jz^2) by rescaling the couplings; it must be
-    finite and non-negative. ``gate_time`` must be positive and finite.
+    finite and non-negative. ``gate_time`` must be positive and finite,
+    and ``seed`` non-negative.
     """
 
     target: str
@@ -59,9 +65,7 @@ class SearchSpec:
     frozen: dict = field(default_factory=dict)
     degeneracy: str = "none"
     coupling_norm: float = None
-    distance_weight: float = 1.0
     purity_weight: float = 0.0
-    degeneracy_weight: float = 100.0
     gate_time: float = 1.0
     seed: int = 0
     restarts: int = 8
@@ -87,6 +91,7 @@ class SearchSpec:
             raise InvalidParameterError(
                 f"gate_time must be positive and finite, got {self.gate_time}")
         _check_coupling_norm(self.coupling_norm)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,6 @@ class OptimizeResult:
     invariant_gap: float
     objective_history: tuple
     evaluations: int
-    seed: int
 
 
 def _spec_params(spec: SearchSpec, x):
@@ -142,10 +146,10 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
         u = pulse_unitary(h, spec.gate_time)
         overlap = abs(np.trace(target.matrix.conj().T @ u))
         dist2 = max(8.0 - 2.0 * overlap, 0.0)
-        value = spec.distance_weight * dist2
+        value = dist2
         if spec.degeneracy != "none":
             gap = constraint_gap(np.diff(np.linalg.eigvalsh(h) / np.pi), spec.degeneracy)
-            value += spec.degeneracy_weight * gap**2
+            value += 100.0 * gap**2
         if purity_weight > 0.0 and nm.alpha > 0.0:
             value += purity_weight * abs(initial_purity_slope(p, nm)) * spec.gate_time
         return value
@@ -203,7 +207,6 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
         invariant_gap=float(inv_gap),
         objective_history=tuple(history),
         evaluations=counter["n"],
-        seed=spec.seed,
     )
 
 
@@ -301,19 +304,20 @@ class SweepResult:
     feasible: np.ndarray
     reason: np.ndarray
 
-    def _near_min_cells(self, values, slack):
-        """Feasible cells within ``slack`` of the feasible minimum; none if none is feasible."""
+    def _near_min_cells(self, values):
+        """Feasible cells within 1e-12 of the feasible minimum, if any."""
         if not self.feasible.any():
             return set()
         values = np.where(self.feasible, values, np.inf)
-        return set(zip(*np.where(values <= np.min(values) + slack)))
+        return set(zip(*np.where(values <= np.min(values) + 1e-12)))
 
-    def argmin_cells(self, slack=1e-9):
-        """Feasible cells whose rate is within ``slack`` of the minimum."""
-        return self._near_min_cells(self.decay_rate, slack)
+    def argmin_cells(self):
+        """Feasible cells whose rate is within 1e-12 of the minimum."""
+        return self._near_min_cells(self.decay_rate)
 
-    def min_pair_gap_cells(self, slack=1e-9):
-        return self._near_min_cells(self.pair_gap, slack)
+    def min_pair_gap_cells(self):
+        """Feasible cells whose pair gap is within 1e-12 of the minimum."""
+        return self._near_min_cells(self.pair_gap)
 
     def record_keys(self):
         """Names of the columns of ``rows``, the keys of ``to_records``."""
@@ -408,12 +412,12 @@ def sweep(grid: SweepGrid, nm: NoiseModel):
     )
 
 
-def fig1_grid(n=41, jy_range=(0.10, 1.70), jz_range=(0.48, 2.08), delta=1.0,
-              coupling_norm=np.sqrt(4.25)):
-    """The (Jy, Jz) landscape grid with |J| fixed and locals constant.
+def fig1_grid(n=41):
+    """The n x n (Jy, Jz) landscape grid with |J| fixed and locals constant.
 
-    Defaults set identical qubits at their optimal points (eps = 0,
-    Delta1 = Delta2 = 1) and sweep the couplings over a window whose Jx
+    Identical qubits sit at their optimal points (eps = 0,
+    Delta1 = Delta2 = 1), |J| = sqrt(4.25), and the couplings sweep
+    Jy over [0.10, 1.70] and Jz over [0.48, 2.08], a window whose Jx
     closure disk boundary crosses the double-degeneracy hyperbola
     Jy Jz = Delta^2 exactly at the grid point (0.5, 2.0); that crossing
     is where the landscape attains its minimum decay rate. (Only one of
@@ -425,26 +429,26 @@ def fig1_grid(n=41, jy_range=(0.10, 1.70), jz_range=(0.48, 2.08), delta=1.0,
     return SweepGrid(
         param1="jy",
         param2="jz",
-        values1=np.linspace(*jy_range, n),
-        values2=np.linspace(*jz_range, n),
-        fixed={"delta1": delta, "delta2": delta},
+        values1=np.linspace(0.10, 1.70, n),
+        values2=np.linspace(0.48, 2.08, n),
+        fixed={"delta1": 1.0, "delta2": 1.0},
         closure="jx_from_norm",
-        coupling_norm=coupling_norm,
+        coupling_norm=np.sqrt(4.25),
         degeneracy_tol=0.1,
     )
 
 
 def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
-                           draws=100, radius=0.1, seed=11, gap_floor=1e-4):
+                           draws=100, seed=11, gap_floor=1e-4):
     """Check a degeneracy point is a strict rate minimum in its landscape family.
 
-    Perturbs (jy, jz) by up to ``radius`` (relative to |J|) inside the
-    fixed-|J| disk, closes jx = +sqrt(|J|^2 - jy^2 - jz^2) and keeps the
-    local fields fixed, i.e. moves within exactly the published landscape
-    family. Draws that do not actually break the ``expected`` degeneracy
-    ('single' or 'double'), that is whose classification at tolerance 1e-8
-    is unchanged or whose broken gap (reduced units) is below
-    ``gap_floor``, are redrawn, within 100 * ``draws`` attempts in all.
+    Perturbs (jy, jz) by up to 0.1 |J| inside the fixed-|J| disk, closes
+    jx = +sqrt(|J|^2 - jy^2 - jz^2) and keeps the local fields fixed, i.e.
+    moves within exactly the published landscape family. Draws that do not
+    actually break the ``expected`` degeneracy ('single' or 'double'), that
+    is whose classification at tolerance 1e-8 is unchanged or whose broken
+    gap (reduced units) is below ``gap_floor``, are redrawn, within
+    100 * ``draws`` attempts in all.
     Returns (number of draws with strictly larger |dP/dt|, draws, worst
     rate ratio).
 
@@ -456,7 +460,7 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
     Liouvillian or product state.
 
     Raises InvalidParameterError, before drawing anything, unless
-    ``draws`` is a positive integer, ``radius`` is positive and finite,
+    ``draws`` is a positive integer, ``seed`` is non-negative,
     ``gap_floor`` is non-negative and finite, and the point has a coupling
     and a nonzero rate (there is none to compare against at alpha = 0).
     """
@@ -464,8 +468,7 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
         raise InvalidParameterError(f"draws must be a positive integer, got {draws!r}")
     if expected not in ("single", "double"):
         raise InvalidParameterError(f"expected must be 'single' or 'double', got {expected!r}")
-    if not 0.0 < radius < np.inf:
-        raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
+    _check_seed(seed)
     if not 0.0 <= gap_floor < np.inf:
         raise InvalidParameterError(f"gap_floor must be non-negative and finite, got {gap_floor}")
     norm = params.coupling_norm
@@ -489,7 +492,7 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
         for _ in range(batch):
             d = rng.normal(size=2)
             d /= np.linalg.norm(d)
-            step = radius * norm * (0.2 + 0.8 * rng.random())
+            step = 0.1 * norm * (0.2 + 0.8 * rng.random())
             jy = params.jy + step * d[0]
             jz = params.jz + step * d[1]
             if jy**2 + jz**2 <= norm**2:
@@ -523,7 +526,6 @@ class SensitivityReport:
     """
 
     budget: float
-    step: float
     quadratic: dict
     linear: dict
     coherent_linear: dict
@@ -535,12 +537,15 @@ class SensitivityReport:
 #: A coherent linear term above LINEAR_TOL * max(q, 1) marks a point non-optimal.
 LINEAR_TOL = 1e-6
 
+#: Relative detuning of each control in ``sensitivity``'s central differences.
+SENSITIVITY_STEP = 2e-3
+
 
 def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
-                gate_time=None, rel_step=2e-3, target=None):
+                gate_time=None, target=None):
     """Central-difference quadratic sensitivity around an optimum.
 
-    Detunes every nonzero control by +-rel_step (relative), fits the
+    Detunes every nonzero control by +-SENSITIVITY_STEP (relative), fits the
     quadratic response of the combined error (coherent gate deviation
     plus the change in propagated purity loss), and inverts it for the
     tolerance radius at the given budget.
@@ -551,12 +556,10 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     against the gate the point itself realizes, which is the right notion
     for equivalence-class constructions; that reference is stationary by
     construction, so no optimality check is possible in this mode. A
-    ``rel_step`` that is not positive and finite, or a ``budget`` that is
-    negative or not finite, raises InvalidParameterError.
+    ``budget`` that is negative or not finite raises InvalidParameterError.
     """
-    if not (0.0 < rel_step < np.inf and 0.0 <= budget < np.inf):
-        raise InvalidParameterError(f"need finite rel_step > 0 and budget >= 0, "
-                                    f"got {rel_step}, {budget}")
+    if not 0.0 <= budget < np.inf:
+        raise InvalidParameterError(f"need a finite budget >= 0, got {budget}")
     if gate_time is None:
         gate_time = params.t0
     if target is None:
@@ -584,21 +587,20 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         v = getattr(params, name)
         if v == 0.0:
             continue
-        dp = abs(v) * rel_step
+        dp = abs(v) * SENSITIVITY_STEP
         p_plus = params.replace(**{name: v + dp})
         p_minus = params.replace(**{name: v - dp})
         (c_plus, e_plus), (c_minus, e_minus) = errors(p_plus), errors(p_minus)
-        q = (e_plus + e_minus) / (2.0 * rel_step**2)
+        q = (e_plus + e_minus) / (2.0 * SENSITIVITY_STEP**2)
         quadratic[name] = float(q)
-        linear[name] = float((e_plus - e_minus) / (2.0 * rel_step))
-        coh_lin = (c_plus - c_minus) / (2.0 * rel_step)
+        linear[name] = float((e_plus - e_minus) / (2.0 * SENSITIVITY_STEP))
+        coh_lin = (c_plus - c_minus) / (2.0 * SENSITIVITY_STEP)
         coh_linear[name] = float(coh_lin)
         if check_linear and abs(coh_lin) > LINEAR_TOL * max(q, 1.0):
             non_optimal = True
         radii[name] = float(np.sqrt(budget / q)) if q > 0 else np.inf
     return SensitivityReport(
         budget=budget,
-        step=rel_step,
         quadratic=quadratic,
         linear=linear,
         coherent_linear=coh_linear,

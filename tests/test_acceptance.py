@@ -192,8 +192,8 @@ class TestCriterion5Fig1Landscape:
         nm0 = NoiseModel.from_reduced(alpha=0.01, temperature=0.0)
         res = sweep(grid, nm0)
 
-        argmin = res.argmin_cells(1e-12)
-        mingap = res.min_pair_gap_cells(1e-12)
+        argmin = res.argmin_cells()
+        mingap = res.min_pair_gap_cells()
         ok = argmin == mingap and len(argmin) == 1
 
         # lowest-pair (ground) degenerate cells beat the non-degenerate median

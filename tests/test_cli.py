@@ -89,9 +89,6 @@ class TestConfigHandling:
         "calibrate-zero-delta": ("calibrate", {"calibrate": {"delta_ghz": 0,
                                                              "t1_inverse_ghz": 0.001}},
                                  "delta_ghz must be positive"),
-        "sensitivity-zero-rel-step": ("sensitivity",
-                                      {"hamiltonian": {"construction": "cnot_onestep_refined"},
-                                       "sensitivity": {"rel_step": 0}}, "rel_step"),
         "calibrate-j-below-delta": ("calibrate", {"calibrate": {"delta_ghz": 10.0, "j_ghz": 5.0,
                                                                 "t1_inverse_ghz": 0.1}},
                                     "J >= Delta"),
@@ -122,6 +119,8 @@ class TestConfigHandling:
                                    "coupling_norm"),
         "optimize-gate-time-zero": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]}},
                                                  "gate_time": 0}, "gate_time"),
+        "optimize-negative-seed": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]}},
+                                                "seed": -1}, "seed"),
         "sweep-fixed-swept": ("sweep", {"sweep": {**SWEEP, "fixed": {"jy": 1.0}}},
                               "both swept and fixed"),
     }
@@ -337,6 +336,27 @@ class TestByteReproducibility:
         assert read(tmp_path / "t1" / "sweep_summary.json") == read(
             tmp_path / "t4" / "sweep_summary.json"
         )
+
+    BUNDLED_RUNS = {
+        "purity-cnot": ("purity", "paper:cnot"),
+        "purity-bgate": ("purity", "paper:bgate"),
+        "purity-fig2": ("purity", "paper:fig2"),
+        "calibrate": ("calibrate", "paper:calibration"),
+        "sensitivity-cnot": ("sensitivity", "paper:cnot"),
+        "spectrum-cnot": ("spectrum", "paper:cnot"),
+        "sweep-fig1": ("sweep", "paper:fig1"),
+    }
+
+    @pytest.mark.parametrize("case", list(BUNDLED_RUNS))
+    def test_bundled_run_reruns_identical(self, tmp_path, capsys, case):
+        command, experiment = self.BUNDLED_RUNS[case]
+        runs = []
+        for rerun in ("a", "b"):
+            out = tmp_path / rerun
+            assert main([command, "--experiment", experiment, "--out", str(out)]) == EXIT_OK
+            files = {path.name: read(path) for path in out.iterdir()}
+            runs.append((capsys.readouterr().out, files))
+        assert runs[0][1] and runs[0] == runs[1]
 
     def test_timestamp_only_when_requested(self, tmp_path):
         code, out = run(tmp_path, "invariants", "--gate", "CNOT")

@@ -228,13 +228,6 @@ class TestPropagation:
         chk = relax_time_check(np.pi, NoiseModel(alpha=0.0, temperature=0.0, cutoff=10.0))
         assert chk.fitted_rate == 0.0 and chk.analytic_rate == 0.0
 
-    @pytest.mark.parametrize("fit_points", [0, 1, -5, float("nan")])
-    def test_relaxation_needs_two_fit_points(self, fit_points):
-        # fit_points = 0 divided by zero; -5 fitted a line through two samples.
-        with pytest.raises(InvalidParameterError, match="fit_points"):
-            relax_time_check(np.pi, NoiseModel(alpha=0.01, temperature=0.0, cutoff=100.0),
-                             fit_points=fit_points)
-
     def test_relaxation_splitting_above_cutoff_rejected(self):
         # S(2 delta) = 0 above the cutoff: nothing relaxes, so nothing to fit.
         with pytest.raises(InvalidParameterError, match="cutoff 10"):
