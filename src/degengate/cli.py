@@ -20,6 +20,7 @@ range), 3 numerical failure, 4 non-convergence.
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -96,21 +97,22 @@ def write_csv(path, header, rows, failure=None):
             fh.write(f"# FAILED: {failure}\n")
 
 
+def _strict(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def write_json(path, payload):
+    """Write strict JSON: non-finite floats become ``null``, never ``NaN``/``Infinity``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _metadata(cfg, args):
-    meta = {
-        "config": cfg,
-        "seed": cfg.get("seed", 0),
-        "version": __version__,
-    }
-    if args.timestamp:
-        meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return meta
 
 
 def _load(args):
@@ -134,6 +136,14 @@ def _outdir(args):
     return out
 
 
+def _write_report(args, cfg, name, payload):
+    """Write report ``name`` to the output directory with its ``meta`` block."""
+    meta = {"config": cfg, "seed": cfg.get("seed", 0), "version": __version__}
+    if args.timestamp:
+        meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    write_json(os.path.join(_outdir(args), name), {**payload, "meta": meta})
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -150,15 +160,13 @@ def cmd_spectrum(args):
     print("gaps omega_nm (pi/t0):")
     for (n, m), w in sorted(es.gaps().items()):
         print(f"  ({n},{m}): {_fmt(w / np.pi)}")
-    payload = {
+    _write_report(args, cfg, "spectrum.json", {
         "label": label,
         "energies_reduced": [e / np.pi for e in es.energies.tolist()],
         "classification": rep.classification,
         "min_gap_reduced": rep.min_gap / np.pi,
         "pair_gaps_reduced": [g / np.pi for g in rep.pair_gaps],
-        "meta": _metadata(cfg, args),
-    }
-    write_json(os.path.join(_outdir(args), "spectrum.json"), payload)
+    })
     return EXIT_OK
 
 
@@ -187,16 +195,14 @@ def cmd_purity(args):
             _PURITY_HEADER,
             _purity_rows(comp["fivestep_trace"]),
         )
-        payload = {
+        _write_report(args, cfg, "comparison_summary.json", {
             "onestep_loss": comp["onestep_loss"],
             "fivestep_loss": comp["fivestep_loss"],
             "loss_ratio": comp["loss_ratio"],
             "duration_ratio": comp["duration_ratio"],
             "fivestep_duration": comp["sequence"].total_duration,
             "amplitude_bound": comp["sequence"].amplitude_bound,
-            "meta": _metadata(cfg, args),
-        }
-        write_json(os.path.join(out, "comparison_summary.json"), payload)
+        })
         print(
             f"one-step loss {comp['onestep_loss']:.6g}; five-step loss "
             f"{comp['fivestep_loss']:.6g}; ratio {comp['loss_ratio']:.3g}; "
@@ -217,15 +223,13 @@ def cmd_purity(args):
         print(f"purity run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     write_csv(trace_path, _PURITY_HEADER, _purity_rows(trace))
-    payload = {
+    _write_report(args, cfg, "purity_summary.json", {
         "label": label,
         "initial_slope": trace.initial_slope,
         "decay_rate": trace.decay_rate,
         "loss": trace.loss(),
         "t_final": t_final,
-        "meta": _metadata(cfg, args),
-    }
-    write_json(os.path.join(out, "purity_summary.json"), payload)
+    })
     print(f"{label}: |dP/dt|(0) = {trace.decay_rate:.6g}, 1-P({t_final:g}) = {trace.loss():.6g}")
     return EXIT_OK
 
@@ -247,9 +251,8 @@ def cmd_sweep(args):
         ],
         "min_rate": min_rate,
         "feasible_cells": int(feasible_rates.size),
-        "meta": _metadata(cfg, args),
     }
-    write_json(os.path.join(out, "sweep_summary.json"), payload)
+    _write_report(args, cfg, "sweep_summary.json", payload)
     print(
         f"sweep done: {payload['feasible_cells']} feasible cells, min |dP/dt| = "
         f"{'none' if min_rate is None else format(min_rate, '.6g')} at {payload['argmin_points']}"
@@ -259,7 +262,6 @@ def cmd_sweep(args):
 
 def cmd_optimize(args):
     cfg = _load(args)
-    out = _outdir(args)
     opt = cfg.get("optimize")
     if not opt or "bounds" not in opt:
         raise ConfigError("optimize needs an 'optimize' section with 'bounds'")
@@ -274,16 +276,14 @@ def cmd_optimize(args):
     )
     nm = resolve_noise(cfg)
     result = optimize(spec, nm)
-    payload = {
+    _write_report(args, cfg, "optimize_report.json", {
         "report": result.report.to_dict(),
         "objective": result.objective,
         "objective_history": list(result.objective_history),
         "converged": result.converged,
         "invariant_gap": result.invariant_gap,
         "evaluations": result.evaluations,
-        "meta": _metadata(cfg, args),
-    }
-    write_json(os.path.join(out, "optimize_report.json"), payload)
+    })
     print(
         f"best objective {result.objective:.6g}; distance "
         f"{result.report.distance_phase_opt:.3g}; converged: {result.converged}"
@@ -305,26 +305,23 @@ def cmd_invariants(args):
             u = target_gate(cfg.get("target", "CNOT")).matrix
             label = cfg.get("target", "CNOT")
     inv = makhlin_invariants(u)
-    payload = {
+    _write_report(args, cfg, "invariants.json", {
         "label": label,
         "G1": [inv.g1.real, inv.g1.imag],
         "G2": [inv.g2.real, inv.g2.imag],
-        "meta": _metadata(cfg, args),
-    }
-    write_json(os.path.join(_outdir(args), "invariants.json"), payload)
+    })
     print(f"{label}: G1 = {inv.g1:.12g}, G2 = {inv.g2:.12g}")
     return EXIT_OK
 
 
 def cmd_sensitivity(args):
     cfg = _load(args)
-    out = _outdir(args)
     params, gate_time, label = resolve_hamiltonian(cfg)
     nm = resolve_noise(cfg, t0=params.t0)
     # Config keys are sensitivity() argument names; absent keys keep its defaults.
     options = {k: float(v) for k, v in cfg.get("sensitivity", {}).items()}
     rep = sensitivity(params, nm, gate_time=gate_time, **options)
-    payload = {
+    _write_report(args, cfg, "sensitivity_report.json", {
         "label": label,
         "budget": rep.budget,
         "radius": rep.radius,
@@ -333,9 +330,7 @@ def cmd_sensitivity(args):
         "linear": rep.linear,
         "coherent_linear": rep.coherent_linear,
         "non_optimal": rep.non_optimal,
-        "meta": _metadata(cfg, args),
-    }
-    write_json(os.path.join(out, "sensitivity_report.json"), payload)
+    })
     print(
         f"{label}: tolerance radius {rep.radius:.4%} of parameter values "
         f"(budget {rep.budget:g}); non-optimal: {rep.non_optimal}"
@@ -345,7 +340,6 @@ def cmd_sensitivity(args):
 
 def cmd_calibrate(args):
     cfg = _load(args)
-    out = _outdir(args)
     cal_cfg = cfg.get("calibrate") or {}
     missing = [k for k in ("delta_ghz", "t1_inverse_ghz") if k not in cal_cfg]
     if missing:
@@ -364,7 +358,7 @@ def cmd_calibrate(args):
     class_gate = cnot_class_pulse(ratio, 1.0)
     t_cnot = class_gate.params.t0
     loss_cnot = gate_purity(class_gate.params, cal.noise, t_final=t_cnot, dt=t_cnot).loss()
-    payload = {
+    _write_report(args, cfg, "calibration_report.json", {
         "alpha": cal.alpha,
         "flagged": cal.flagged,
         "energy_unit_ghz": cal.energy_unit_ghz,
@@ -377,9 +371,7 @@ def cmd_calibrate(args):
         "pinned_normalization": RELAXATION_NORMALIZATION,
         "purity_loss_bgate": loss_b,
         "purity_loss_cnot_class": loss_cnot,
-        "meta": _metadata(cfg, args),
-    }
-    write_json(os.path.join(out, "calibration_report.json"), payload)
+    })
     print(
         f"alpha = {cal.alpha:.6g}; 1-P_B = {loss_b:.4g}; "
         f"1-P_CNOT = {loss_cnot:.4g}"

@@ -56,8 +56,9 @@ class SearchSpec:
     spectral constraint to enforce ('none', 'single' or 'double') through
     a quadratic gap penalty, and ``coupling_norm``, when set, fixes
     |J| = sqrt(jx^2+jy^2+jz^2) by rescaling the couplings; it must be
-    finite and non-negative. ``gate_time`` must be positive and finite,
-    and ``seed`` non-negative.
+    finite and non-negative. ``gate_time`` and ``distance_threshold`` must
+    be positive and finite, ``purity_weight`` finite and non-negative, and
+    ``seed`` non-negative.
     """
 
     target: str
@@ -90,6 +91,12 @@ class SearchSpec:
         if not 0.0 < self.gate_time < np.inf:
             raise InvalidParameterError(
                 f"gate_time must be positive and finite, got {self.gate_time}")
+        if not 0.0 <= self.purity_weight < np.inf:
+            raise InvalidParameterError(
+                f"purity_weight must be finite and non-negative, got {self.purity_weight}")
+        if not 0.0 < self.distance_threshold < np.inf:
+            raise InvalidParameterError(
+                f"distance_threshold must be positive and finite, got {self.distance_threshold}")
         _check_coupling_norm(self.coupling_norm)
         _check_seed(self.seed)
 

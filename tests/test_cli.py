@@ -27,6 +27,14 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def strict_json(path):
+    """Parse a report, failing on the non-standard NaN and Infinity literals."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(read(path), parse_constant=reject)
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"hamiltonain": {"construction": "cnot_onestep_refined"}})
@@ -123,6 +131,12 @@ class TestConfigHandling:
                                                 "seed": -1}, "seed"),
         "sweep-fixed-swept": ("sweep", {"sweep": {**SWEEP, "fixed": {"jy": 1.0}}},
                               "both swept and fixed"),
+        "optimize-negative-purity-weight": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
+                                                                      "purity_weight": -5}},
+                                            "purity_weight"),
+        "optimize-zero-threshold": ("optimize", {"optimize": {"bounds": {"jz": [0.1, 1.0]},
+                                                              "distance_threshold": 0}},
+                                    "distance_threshold"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -358,15 +372,32 @@ class TestByteReproducibility:
             runs.append((capsys.readouterr().out, files))
         assert runs[0][1] and runs[0] == runs[1]
 
-    def test_timestamp_only_when_requested(self, tmp_path):
-        code, out = run(tmp_path, "invariants", "--gate", "CNOT")
-        payload = json.loads(read(out / "invariants.json"))
-        assert "timestamp" not in payload["meta"]
-        code, out2 = main(
-            ["invariants", "--gate", "CNOT", "--timestamp", "--out", str(tmp_path / "ts")]
-        ), tmp_path / "ts"
-        payload2 = json.loads(read(out2 / "invariants.json"))
-        assert "timestamp" in payload2["meta"]
+    # One cheap run of every subcommand; a dict stands for a --config file.
+    REPORT_RUNS = {
+        "spectrum": (["spectrum", "--experiment", "paper:cnot"], "spectrum.json"),
+        "purity": (["purity", "--config", {"hamiltonian": {"construction": "cnot_onestep_refined"},
+                                           "time": {"t_final": 0.05}}], "purity_summary.json"),
+        "comparison": (["purity", "--experiment", "paper:fig2"], "comparison_summary.json"),
+        "sweep": (["sweep", "--config", {"sweep": TestConfigHandling.SWEEP}],
+                  "sweep_summary.json"),
+        "optimize": (["optimize", "--config", {"target": "SWAP", "optimize": {
+            "bounds": {"jx": [0.05, 0.5], "jy": [0.05, 0.5], "jz": [0.05, 0.5]},
+            "restarts": 1, "max_iter": 40}}], "optimize_report.json"),
+        "invariants": (["invariants", "--gate", "CNOT"], "invariants.json"),
+        "sensitivity": (["sensitivity", "--experiment", "paper:cnot"], "sensitivity_report.json"),
+        "calibrate": (["calibrate", "--experiment", "paper:calibration"],
+                      "calibration_report.json"),
+    }
+
+    @pytest.mark.parametrize("case", list(REPORT_RUNS))
+    def test_timestamp_only_when_requested(self, tmp_path, case):
+        argv, report = self.REPORT_RUNS[case]
+        argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+        for extra, keys in (([], set()), (["--timestamp"], {"timestamp"})):
+            out = tmp_path / f"out{len(extra)}"
+            assert main([*argv, *extra, "--out", str(out)]) in (EXIT_OK, EXIT_NONCONVERGED)
+            meta = json.loads(read(out / report))["meta"]
+            assert set(meta) == {"config", "seed", "version"} | keys
 
 
 class TestSweepCommand:
@@ -382,11 +413,7 @@ class TestSweepCommand:
         }
         code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path, cfg))
         assert code == EXIT_OK
-
-        def reject(name):
-            raise ValueError(f"not strict JSON: {name}")
-
-        summary = json.loads(read(out / "sweep_summary.json"), parse_constant=reject)
+        summary = strict_json(out / "sweep_summary.json")
         assert summary["argmin_cells"] == []
         assert summary["min_rate"] is None
         assert summary["feasible_cells"] == 0
@@ -489,6 +516,23 @@ class TestCalibrateCommand:
         assert 0.005 <= payload["alpha"] <= 0.02
         assert 0.021 <= payload["purity_loss_bgate"] <= 0.039
         assert 0.105 <= payload["purity_loss_cnot_class"] <= 0.195
+
+
+class TestStrictJson:
+    # Configs whose reports hold an infinite number.
+    NON_FINITE = {
+        "comparison-zero-alpha": ("purity", {"comparison": {"alpha": 0.0}},
+                                  "comparison_summary.json", "loss_ratio"),
+        "sensitivity-zero-controls": ("sensitivity", {"hamiltonian": {"params": {"t0": 1.0}}},
+                                      "sensitivity_report.json", "radius"),
+    }
+
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_non_finite_number_written_as_null(self, tmp_path, case):
+        command, payload, report, key = self.NON_FINITE[case]
+        code, out = run(tmp_path, command, "--config", write_config(tmp_path, payload))
+        assert code == EXIT_OK
+        assert strict_json(out / report)[key] is None
 
 
 class TestEnvironmentOutput:

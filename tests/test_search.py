@@ -47,6 +47,15 @@ class TestOptimize:
         with pytest.raises(InvalidParameterError, match="coupling_norm"):
             SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, coupling_norm=norm)
 
+    @pytest.mark.parametrize("name, value", [
+        ("purity_weight", -5.0), ("purity_weight", np.nan), ("purity_weight", np.inf),
+        ("distance_threshold", 0.0), ("distance_threshold", -1e-6),
+        ("distance_threshold", np.nan), ("distance_threshold", np.inf),
+    ])
+    def test_bad_weight_or_threshold_rejected(self, name, value):
+        with pytest.raises(InvalidParameterError, match=name):
+            SearchSpec(target="CNOT", bounds={"jz": (0, 1)}, **{name: value})
+
     def test_coupling_norm_keeps_coupling_signs(self):
         spec = SearchSpec(target="CNOT", bounds={"jx": (0, 1), "jy": (0, 1), "jz": (0, 1)},
                           coupling_norm=0.75)
