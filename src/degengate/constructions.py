@@ -5,7 +5,8 @@ class) with a single constant-Hamiltonian pulse whose parameters sit at a
 spectral-degeneracy point, which is what suppresses relaxation:
 
 * ``onestep_cnot``   - exact CNOT under a single degeneracy,
-* ``cnot_class_pulse`` - CNOT equivalence class under double degeneracy,
+* ``cnot_class_pulse`` - CNOT equivalence class under double degeneracy
+  (couplings from ``cnot_class_params``),
 * ``onestep_bgate``  - B-gate equivalence class under double degeneracy.
 
 ``standard_cnot_protocol`` builds the conventional five-pulse CNOT used as
@@ -199,10 +200,12 @@ def _invariant_gap(u, target_inv: MakhlinInvariants):
 
 
 def find_class_time_scale(params: HamiltonianParams, target: GateTarget):
-    """Smallest time scale s > 0 with exp(-i s t0 H) in the target's class.
+    """Time scale s in (0, CLASS_SCALE_MAX] with exp(-i s t0 H) nearest the target's class.
 
-    One-dimensional scan over s followed by local refinement of the
-    Makhlin-invariant gap. Returns (s, gap at s).
+    Scans the Makhlin-invariant gap at CLASS_SCAN_SAMPLES evenly spaced
+    scales, refines the five lowest grid points locally, and keeps the best
+    refined minimum; that need not be the smallest s with a small gap.
+    Returns (s, gap at s).
     """
     from scipy.optimize import minimize_scalar  # about 0.3 s to import
 
@@ -226,8 +229,8 @@ def find_class_time_scale(params: HamiltonianParams, target: GateTarget):
     return best_s, best_gap
 
 
-def cnot_class_pulse(j, delta, printed_signs=False):
-    """Double-degeneracy rectangular pulse in the CNOT equivalence class.
+def cnot_class_params(j, delta, printed_signs=False):
+    """Unscaled double-degeneracy couplings of the CNOT-class pulse, at t0 = 1.
 
     Couplings (units pi/t0):
 
@@ -239,9 +242,7 @@ def cnot_class_pulse(j, delta, printed_signs=False):
     the optimal point with Delta1 = Delta2 = Delta. The printed equation
     has a minus sign in both components, which violates the degeneracy it
     is meant to enforce; pass ``printed_signs=True`` to audit that
-    variant. The pulse lands in the CNOT class at the returned time
-    scale, found by a one-dimensional Makhlin-invariant search; the
-    returned parameters are already rescaled by it.
+    variant.
     """
     if delta <= 0 or j < delta:
         raise InvalidParameterError("need J >= Delta > 0")
@@ -252,7 +253,18 @@ def cnot_class_pulse(j, delta, printed_signs=False):
     else:
         jy = (plus + minus) / np.sqrt(2.0)
         jz = (plus - minus) / np.sqrt(2.0)
-    base = HamiltonianParams(delta1=delta, delta2=delta, jy=jy, jz=jz)
+    return HamiltonianParams(delta1=delta, delta2=delta, jy=jy, jz=jz)
+
+
+def cnot_class_pulse(j, delta):
+    """Double-degeneracy rectangular pulse in the CNOT equivalence class.
+
+    ``params`` are the unscaled couplings of :func:`cnot_class_params`.
+    The pulse comes closest to the CNOT class at the time scale that
+    :func:`find_class_time_scale` finds; that scale is in ``gate_time``
+    (and ``notes["time_scale"]``), not in the parameters.
+    """
+    base = cnot_class_params(j, delta)
     scale, gap = find_class_time_scale(base, target_gate("CNOT"))
     return OneStepGate(
         name="cnot_class_pulse",

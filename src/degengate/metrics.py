@@ -46,7 +46,7 @@ def assert_unitary(u, name="matrix"):
     if u.shape != (4, 4):
         raise NonUnitaryError(f"{name} must be 4x4")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # a NaN fails too
         raise NonUnitaryError(f"{name} is not unitary (defect {defect:.2e})")
     return u
 

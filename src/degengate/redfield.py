@@ -145,9 +145,11 @@ class DensityMatrix:
         raises StateValidityError, prefixed ``state <state_index>: `` if given.
         """
         m = self.matrix
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            problem = f"trace deviates from 1 by {abs(np.trace(m) - 1.0):.2e}"
-        elif np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        tr = np.trace(m)
+        # Written as "not <=" so that a NaN fails each check.
+        if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):
+            problem = f"trace deviates from 1 by {abs(tr - 1.0):.2e}"
+        elif not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
             problem = "state is not Hermitian"
         elif (lowest := np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) < eigen_floor:
             problem = f"negative eigenvalue {lowest:.2e} below floor"
@@ -335,7 +337,7 @@ def _evolve(lmat, y0, dt, n_steps, record):
         start += m
     if n_steps > 1:
         err = float(np.max(np.abs(y - expm((n_steps * dt) * lmat) @ y0)))
-        if err > PROPAGATOR_TOL:
+        if not err <= PROPAGATOR_TOL:  # a NaN fails too
             raise IntegrationError(
                 f"propagator check failed: {n_steps} products of expm(L dt) deviate "
                 f"from expm(L t) by {err:.2e} > {PROPAGATOR_TOL:g}; sample more coarsely"

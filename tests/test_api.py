@@ -45,17 +45,31 @@ def test_traced_target_resolves(label, module_name, path):
     assert callable(fn)
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
-def test_import_leaves_out(module):
-    # scipy.stats (about 0.7 s) and scipy.optimize (about 0.3 s) are imported
-    # only by the searches and constructions that call them.
-    code = f"import sys, degengate, degengate.cli; print({module!r} in sys.modules)"
+def fresh_python_stdout(code):
+    """Standard output of ``code`` run by a new interpreter on this source tree."""
     src = os.path.join(os.path.dirname(degengate.__file__), os.pardir)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_out(module):
+    # scipy.stats (about 0.7 s) and scipy.optimize (about 0.3 s) are imported
+    # only by the searches and constructions that call them.
+    code = f"import sys, degengate, degengate.cli; print({module!r} in sys.modules)"
+    assert fresh_python_stdout(code).strip() == "False"
+
+
+def test_calibrate_leaves_out_scipy_optimize(tmp_path):
+    # calibrate evaluates the CNOT-class loss at the closed-form couplings;
+    # it runs no class-time scan, so it never needs scipy.optimize.
+    argv = ["calibrate", "--experiment", "paper:calibration", "--out", str(tmp_path)]
+    code = (f"import sys; from degengate import cli; cli.main({argv!r}); "
+            "print('scipy.optimize' in sys.modules)")
+    assert fresh_python_stdout(code).splitlines()[-1] == "False"
 
 
 def test_pulse_unitary_is_the_only_closed_system_expm():

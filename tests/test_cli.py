@@ -8,6 +8,7 @@ from degengate.cli import CSV_CHUNK_ROWS, main, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+EXIT_NUMERIC = 3
 EXIT_NONCONVERGED = 4
 
 
@@ -533,6 +534,18 @@ class TestStrictJson:
         code, out = run(tmp_path, command, "--config", write_config(tmp_path, payload))
         assert code == EXIT_OK
         assert strict_json(out / report)[key] is None
+
+
+class TestNonFiniteControls:
+    # A finite but huge control overflows to NaN inside the pipeline; each
+    # subcommand must report a numerical failure rather than crash or pass.
+    HUGE = {"hamiltonian": {"params": {"delta1": 1, "jz": 1e100}}}
+
+    @pytest.mark.parametrize("command", ["purity", "sensitivity", "invariants"])
+    def test_huge_control_is_numerical_failure(self, tmp_path, capsys, command):
+        code, _ = run(tmp_path, command, "--config", write_config(tmp_path, self.HUGE))
+        assert code == EXIT_NUMERIC
+        assert "nan" in capsys.readouterr().err
 
 
 class TestEnvironmentOutput:

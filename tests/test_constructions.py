@@ -7,6 +7,7 @@ from degengate import (
     NoiseModel,
     build_hamiltonian,
     classify_degeneracy,
+    cnot_class_params,
     cnot_class_pulse,
     cnot_log_family,
     eigensystem,
@@ -164,18 +165,24 @@ class TestFiveStepProtocol:
 
 class TestClassPulse:
     def test_degenerate_limit(self):
-        gate = cnot_class_pulse(1.0, 1.0)
-        assert gate.params.jy == pytest.approx(gate.params.jz)
-        assert gate.params.jy == pytest.approx(1.0)
+        params = cnot_class_params(1.0, 1.0)
+        assert params.jy == pytest.approx(params.jz)
+        assert params.jy == pytest.approx(1.0)
 
     def test_double_degeneracy_exact(self, rng):
         for _ in range(20):
             delta = rng.uniform(0.3, 1.5)
             j = delta * rng.uniform(1.0, 3.0)
-            gate = cnot_class_pulse(j, delta)
-            assert gate.params.jy * gate.params.jz == pytest.approx(delta**2, abs=1e-12)
-            rep = classify_degeneracy(eigensystem(build_hamiltonian(gate.params)), 1e-9)
+            params = cnot_class_params(j, delta)
+            assert params.jy * params.jz == pytest.approx(delta**2, abs=1e-12)
+            rep = classify_degeneracy(eigensystem(build_hamiltonian(params)), 1e-9)
             assert rep.classification == "double"
+
+    def test_pulse_keeps_unscaled_params(self):
+        # The class time scale goes into gate_time; the couplings stay at t0 = 1.
+        gate = cnot_class_pulse(2.0, 1.0)
+        assert gate.params == cnot_class_params(2.0, 1.0)
+        assert gate.gate_time == gate.notes["time_scale"]
 
     def test_invariant_gap_shrinks_with_coupling(self):
         # The time-scale search cannot land exactly on (0, 1): the
@@ -189,12 +196,13 @@ class TestClassPulse:
         assert abs(inv.g1.imag) < 1e-8  # real G1 on the degenerate manifold
 
     def test_printed_signs_break_degeneracy(self):
-        gate = cnot_class_pulse(2.0, 1.0, printed_signs=True)
-        assert abs(gate.params.jy * gate.params.jz - 1.0) > 0.5
+        params = cnot_class_params(2.0, 1.0, printed_signs=True)
+        assert abs(params.jy * params.jz - 1.0) > 0.5
 
     def test_domain_error(self):
-        with pytest.raises(InvalidParameterError):
-            cnot_class_pulse(0.5, 1.0)
+        for build in (cnot_class_params, cnot_class_pulse):
+            with pytest.raises(InvalidParameterError):
+                build(0.5, 1.0)
 
 
 class TestBGate:

@@ -44,8 +44,11 @@ class TestGateDistance:
             assert opt <= raw + 1e-12
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitaryError):
-            gate_distance(np.ones((4, 4)), target_gate("CNOT"))
+        nan_u = np.eye(4, dtype=complex)
+        nan_u[1, 2] = np.nan  # a NaN defect must fail the check too
+        for u in (np.ones((4, 4)), nan_u):
+            with pytest.raises(NonUnitaryError):
+                gate_distance(u, target_gate("CNOT"))
 
     def test_pseudometric_on_random_triples(self, rng):
         def d(a, b):

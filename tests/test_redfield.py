@@ -203,6 +203,15 @@ class TestPropagation:
         with pytest.raises(IntegrationError, match="propagator check failed"):
             gate_purity(CNOT_REFINED, DESK, t_final=5.0)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_state_is_invalid(self, entry):
+        # A NaN on the diagonal reaches the trace check, one off it the
+        # Hermiticity check; both must fail rather than reach eigvalsh.
+        m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        m[entry] = np.nan
+        with pytest.raises(StateValidityError):
+            DensityMatrix(m).validate()
+
     def test_trace_and_hermiticity_long_run(self):
         # Invariants over t in [0, 10 t0] for the headline construction.
         rho0 = DensityMatrix(initial_product_states()[5])
