@@ -350,16 +350,12 @@ def cmd_calibrate(args):
         temperature_kelvin=cal_cfg.get("temperature_kelvin"),
     )
     # Loss estimates for the two published one-step constructions at the
-    # calibrated coupling, both over one nominal gate duration t0. The
-    # CNOT-class loss takes the unscaled couplings over t0, not the pulse's
-    # class duration, so no class-time scan runs here.
-    b_gate = onestep_bgate(refined=True)
-    t_b = b_gate.params.t0
-    loss_b = gate_purity(b_gate.params, cal.noise, t_final=t_b, dt=t_b).loss()
+    # calibrated coupling, both over one nominal gate duration t0 (exactly
+    # 0 without noise). The CNOT-class loss takes the unscaled couplings
+    # over t0, not the pulse's class duration, so no class-time scan runs here.
+    loss_b = report(onestep_bgate(refined=True).params, target_gate("B"), cal.noise).purity_loss
     ratio = cal_cfg.get("j_ghz", 20.0) / float(cal_cfg["delta_ghz"])
-    class_params = cnot_class_params(ratio, 1.0)
-    t_cnot = class_params.t0
-    loss_cnot = gate_purity(class_params, cal.noise, t_final=t_cnot, dt=t_cnot).loss()
+    loss_cnot = report(cnot_class_params(ratio, 1.0), target_gate("CNOT"), cal.noise).purity_loss
     _write_report(args, cfg, "calibration_report.json", {
         "alpha": cal.alpha,
         "flagged": cal.flagged,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .hamiltonian import HamiltonianParams, build_hamiltonian, pulse_unitary
-from .metrics import GateTarget, MakhlinInvariants, makhlin_invariants
+from .metrics import GateTarget, makhlin_invariants
 from .noise import NoiseModel
 from .pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, SX2, SZ1, SZ2, pauli_tensor
 from .redfield import gate_purity, sequence_gate_purity
@@ -194,16 +194,11 @@ def onestep_cnot(refined=True):
 CLASS_SCAN_SAMPLES, CLASS_SCALE_MAX = 2000, 4.0
 
 
-def _invariant_gap(u, target_inv: MakhlinInvariants):
-    inv = makhlin_invariants(u)
-    return abs(inv.g1 - target_inv.g1) + abs(inv.g2 - target_inv.g2)
-
-
 def find_class_time_scale(params: HamiltonianParams, target: GateTarget):
     """Time scale s in (0, CLASS_SCALE_MAX] with exp(-i s t0 H) nearest the target's class.
 
-    Scans the Makhlin-invariant gap at CLASS_SCAN_SAMPLES evenly spaced
-    scales, refines the five lowest grid points locally, and keeps the best
+    Scans the invariant gap (``MakhlinInvariants.gap``) at CLASS_SCAN_SAMPLES
+    evenly spaced scales, refines the five lowest grid points locally, and keeps the best
     refined minimum; that need not be the smallest s with a small gap.
     Returns (s, gap at s).
     """
@@ -212,14 +207,14 @@ def find_class_time_scale(params: HamiltonianParams, target: GateTarget):
     h = build_hamiltonian(params) * params.t0
     target_inv = makhlin_invariants(target)
     scales = np.linspace(CLASS_SCALE_MAX / CLASS_SCAN_SAMPLES, CLASS_SCALE_MAX, CLASS_SCAN_SAMPLES)
-    gaps = np.array([_invariant_gap(pulse_unitary(h, s), target_inv) for s in scales])
+    gaps = np.array([makhlin_invariants(pulse_unitary(h, s)).gap(target_inv) for s in scales])
     order = np.argsort(gaps)
     best_s, best_gap = None, np.inf
     for idx in order[:5]:
         lo = scales[max(idx - 1, 0)]
         hi = scales[min(idx + 1, CLASS_SCAN_SAMPLES - 1)]
         res = minimize_scalar(
-            lambda s: _invariant_gap(pulse_unitary(h, s), target_inv),
+            lambda s: makhlin_invariants(pulse_unitary(h, s)).gap(target_inv),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-12},
@@ -309,7 +304,7 @@ def refine_bgate():
         if jy <= 0 or scale <= 0:
             return 1e6
         p = HamiltonianParams(delta1=delta, delta2=delta, jy=jy, jz=delta**2 / jy)
-        return _invariant_gap(pulse_unitary(build_hamiltonian(p), scale), target_inv)
+        return makhlin_invariants(pulse_unitary(build_hamiltonian(p), scale)).gap(target_inv)
 
     res = minimize(
         objective,

@@ -65,7 +65,9 @@ class GateTarget:
 
 
 def gate_distance(u, x):
-    """Frobenius distance of ``u`` to target ``x``, raw and phase-optimized.
+    """Frobenius distance of unitary ``u`` to unitary target ``x``.
+
+    The phase-optimized distance is sqrt(max(8 - 8 F, 0)), F the fidelity_score.
 
     Returns
     -------
@@ -77,28 +79,35 @@ def gate_distance(u, x):
     u = assert_unitary(u, name="gate")
     assert_unitary(xm, name="target")
     raw = float(np.linalg.norm(xm - u))
-    overlap = abs(np.trace(xm.conj().T @ u))
-    phase_opt = float(np.sqrt(max(8.0 - 2.0 * overlap, 0.0)))
-    return raw, phase_opt
+    return raw, float(np.sqrt(max(8.0 - 8.0 * fidelity_score(u, xm), 0.0)))
 
 
 def fidelity_score(u, x):
-    """Phase-insensitive overlap |Tr(X^dag U)| / 4, equal to 1 iff equivalent
-    up to a global phase; related to the optimized distance by
-    d^2 = 8 (1 - F)."""
+    """Phase-insensitive overlap F = |Tr(X^dag U)| / 4, 1 iff equal up to a phase.
+
+    The overlap rule of ``gate_distance``, ``optimize`` and ``sensitivity``
+    (d^2 = 8 (1 - F)); neither argument is checked for unitarity."""
     xm = x.matrix if isinstance(x, GateTarget) else np.asarray(x, dtype=complex)
     return float(abs(np.trace(xm.conj().T @ u)) / 4.0)
 
 
 @dataclass(frozen=True)
 class MakhlinInvariants:
-    """The pair (G1, G2); G1 is genuinely complex, G2 real up to noise."""
+    """The pair (G1, G2); G1 is genuinely complex, G2 real up to noise.
+
+    Equivalence tests compare ``distance`` (max rule) with a tolerance; the
+    class-time scan, the B-gate polish and ``optimize`` use ``gap`` (sum rule).
+    """
 
     g1: complex
     g2: complex
 
     def distance(self, other):
         return float(max(abs(self.g1 - other.g1), abs(self.g2 - other.g2)))
+
+    def gap(self, other):
+        """|G1 - G1'| + |G2 - G2'| to ``other``."""
+        return float(abs(self.g1 - other.g1) + abs(self.g2 - other.g2))
 
 
 def makhlin_invariants(x):

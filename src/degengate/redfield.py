@@ -113,8 +113,8 @@ PAULI_ROWS.flags.writeable = False
 
 
 def _noise_eigen_floor(nm):
-    """Transient-negativity allowance: the Redfield slip scales with alpha."""
-    return -(1e-6 + 0.02 * nm.alpha)
+    """Floor for every propagated final state: the Redfield slip scales with alpha."""
+    return EIGENVALUE_FLOOR - 0.02 * nm.alpha
 
 
 @dataclass(frozen=True)
@@ -317,12 +317,16 @@ def _evolve(lmat, y0, dt, n_steps, record):
     n_steps. Returns y(n_steps dt). Rounding accumulated by the powers and
     the chained blocks is gated: the final state must match
     expm(n_steps dt L) @ y0 within PROPAGATOR_TOL (a single step is that
-    expm, so it needs no check).
+    expm, so it needs no check). A P that a finite but huge L overflows to
+    NaN or inf raises IntegrationError naming the overflow.
     """
     dim = len(lmat)
     size = min(BLOCK, n_steps)
     powers = np.empty((size, dim, dim), dtype=lmat.dtype)
     powers[0] = expm(dt * lmat)
+    if not np.all(np.isfinite(powers[0])):
+        raise IntegrationError(f"propagator overflowed: expm(L dt) has nan or inf entries "
+                               f"at dt = {dt:.3g}, max |L| = {np.max(np.abs(lmat)):.3g}")
     for k in range(1, size):
         np.matmul(powers[0], powers[k - 1], out=powers[k])
 
@@ -369,16 +373,16 @@ class Trajectory:
         return DensityMatrix(self.matrices[-1])
 
 
-def propagate(rho0: DensityMatrix, params: HamiltonianParams, nm: NoiseModel,
-              t_final, dt, validate=True, eigen_floor=EIGENVALUE_FLOOR):
+def propagate(rho0: DensityMatrix, params: HamiltonianParams, nm: NoiseModel, t_final, dt):
     """Propagate the master equation for one state, sampled on a fixed grid.
 
     The state evolves exactly (see ``_evolve``) under the configuration's
     standard-basis generator (``_pipeline``), sampled every ``dt``
     rounded to fit ``t_final``. The repeated propagator must agree with a
-    single expm over ``t_final`` to 1e-8 in max-norm. With ``validate``
-    the final state must pass :meth:`DensityMatrix.validate` with
-    ``eigen_floor``. The trajectory's matrices are in the standard basis.
+    single expm over ``t_final`` to 1e-8 in max-norm, and the final state
+    must pass :meth:`DensityMatrix.validate` at ``_noise_eigen_floor(nm)``,
+    the floor of purity traces. The trajectory's matrices are in the
+    standard basis.
     """
     _check_times(t_final, dt)
     n_steps, dt = _grid(t_final, dt)
@@ -391,8 +395,7 @@ def propagate(rho0: DensityMatrix, params: HamiltonianParams, nm: NoiseModel,
 
     times = np.arange(n_steps + 1) * dt
     traj = Trajectory(times=times, matrices=history.reshape(n_steps + 1, 4, 4))
-    if validate:
-        traj.final().validate(eigen_floor=eigen_floor)
+    traj.final().validate(eigen_floor=_noise_eigen_floor(nm))
     return traj
 
 
@@ -590,10 +593,10 @@ def relax_time_check(delta, nm: NoiseModel):
     ``delta`` is the qubit's sigma_x coefficient in the same angular units
     as the noise model. The excited-state population decays toward 1/2
     (the generator has no detailed balance); the decay constant is fitted
-    log-linearly to 401 equally spaced samples. The returned ratio
-    fitted/analytic is the normalization constant RELAXATION_NORMALIZATION
-    (= 4/pi^2 as T -> 0), because the generator's exact rate is
-    S(2 Delta)/pi.
+    log-linearly to 401 equally spaced samples of ``propagate``, which
+    validates the final state. The returned ratio fitted/analytic is the
+    normalization constant RELAXATION_NORMALIZATION (= 4/pi^2 as T -> 0),
+    because the generator's exact rate is S(2 Delta)/pi.
     """
     if delta <= 0:
         raise InvalidParameterError("delta must be positive")
@@ -611,7 +614,7 @@ def relax_time_check(delta, nm: NoiseModel):
     up = np.array([1.0, 0.0])
     rho0 = DensityMatrix.from_ket(np.kron(plus, up))
     params = HamiltonianParams(delta1=delta / np.pi, t0=1.0)
-    traj = propagate(rho0, params, nm, t_final, t_final / 400, validate=False)
+    traj = propagate(rho0, params, nm, t_final, t_final / 400)
 
     proj = np.kron(np.outer(plus, plus), np.eye(2))
     pop = np.einsum("ij,tji->t", proj, traj.matrices).real

@@ -16,7 +16,7 @@ perturbations of a point with the same kernel.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .hamiltonian import (
     eigh_stack,
     pulse_unitary,
 )
-from .metrics import GateReport, GateTarget, makhlin_invariants, report
+from .metrics import (GateReport, GateTarget, MakhlinInvariants, fidelity_score,
+                      makhlin_invariants, report)
 from .noise import NoiseModel
 from .redfield import gate_purity, initial_purity_slope, purity_slopes
 
@@ -150,10 +151,7 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
             purity_weight = spec.purity_weight
         p = _spec_params(spec, np.clip(x, lows, highs))
         h = build_hamiltonian(p)
-        u = pulse_unitary(h, spec.gate_time)
-        overlap = abs(np.trace(target.matrix.conj().T @ u))
-        dist2 = max(8.0 - 2.0 * overlap, 0.0)
-        value = dist2
+        value = max(8.0 - 8.0 * fidelity_score(pulse_unitary(h, spec.gate_time), target), 0.0)
         if spec.degeneracy != "none":
             gap = constraint_gap(np.diff(np.linalg.eigvalsh(h) / np.pi), spec.degeneracy)
             value += 100.0 * gap**2
@@ -203,15 +201,14 @@ def optimize(spec: SearchSpec, nm: NoiseModel = None):
 
     params = _spec_params(spec, np.clip(best_x, lows, highs))
     gate_report = report(params, target, nm, t0=spec.gate_time)
-    target_inv = makhlin_invariants(target)
-    inv_gap = abs(gate_report.g1 - target_inv.g1) + abs(gate_report.g2 - target_inv.g2)
+    inv_gap = MakhlinInvariants(gate_report.g1, gate_report.g2).gap(makhlin_invariants(target))
     converged = gate_report.distance_phase_opt < spec.distance_threshold
     return OptimizeResult(
         params=params,
         report=gate_report,
         objective=best_val,
         converged=bool(converged),
-        invariant_gap=float(inv_gap),
+        invariant_gap=inv_gap,
         objective_history=tuple(history),
         evaluations=counter["n"],
     )
@@ -569,12 +566,9 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
         raise InvalidParameterError(f"need a finite budget >= 0, got {budget}")
     if gate_time is None:
         gate_time = params.t0
-    if target is None:
-        u0 = pulse_unitary(build_hamiltonian(params), gate_time)
-        check_linear = False
-    else:
-        u0 = target.matrix if isinstance(target, GateTarget) else np.asarray(target)
-        check_linear = True
+    check_linear = target is not None
+    if not check_linear:
+        target = pulse_unitary(build_hamiltonian(params), gate_time)
     base_loss = (
         gate_purity(params, nm, t_final=gate_time, dt=gate_time).loss()
         if nm.alpha > 0.0
@@ -582,8 +576,7 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     )
 
     def errors(p):
-        u = pulse_unitary(build_hamiltonian(p), gate_time)
-        coh = err = 1.0 - abs(np.trace(u0.conj().T @ u)) / 4.0
+        coh = err = 1.0 - fidelity_score(pulse_unitary(build_hamiltonian(p), gate_time), target)
         if nm.alpha > 0.0:
             err += gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss() - base_loss
         return coh, err

@@ -163,8 +163,7 @@ class TestCriterion4RedfieldPhysics:
         for k in range(8):
             p = random_params(rng, scale=1.2)
             rho0 = DensityMatrix(initial_product_states()[k])
-            traj = propagate(rho0, p, nm, t_final=10.0, dt=5e-4,
-                             eigen_floor=-(1e-6 + 0.02 * nm.alpha))
+            traj = propagate(rho0, p, nm, t_final=10.0, dt=5e-4)
             for idx in range(0, len(traj.times), 4000):
                 m = traj.matrices[idx]
                 worst_trace = max(worst_trace, abs(np.trace(m).real - 1.0))

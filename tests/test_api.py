@@ -4,6 +4,7 @@ A refactor that deletes or renames one of them fails here rather than
 inside a traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -18,6 +19,7 @@ import scipy.linalg
 import degengate
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SRC = os.path.dirname(degengate.__file__)
 TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
 
 
@@ -70,6 +72,26 @@ def test_calibrate_leaves_out_scipy_optimize(tmp_path):
     code = (f"import sys; from degengate import cli; cli.main({argv!r}); "
             "print('scipy.optimize' in sys.modules)")
     assert fresh_python_stdout(code).splitlines()[-1] == "False"
+
+
+def unused_imports(path):
+    """Names a module's top-level imports bind that its code never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(SRC) if name.endswith(".py") and name != "__init__.py"))
+def test_no_unused_module_imports(module):
+    # __init__.py imports to re-export; every other module imports to use.
+    assert unused_imports(os.path.join(SRC, module)) == []
 
 
 def test_pulse_unitary_is_the_only_closed_system_expm():

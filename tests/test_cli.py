@@ -518,6 +518,16 @@ class TestCalibrateCommand:
         assert 0.021 <= payload["purity_loss_bgate"] <= 0.039
         assert 0.105 <= payload["purity_loss_cnot_class"] <= 0.195
 
+    def test_zero_noise_losses_are_exactly_zero(self, tmp_path):
+        # Without a bath nothing is propagated: the losses are 0, not rounding.
+        cfg = {"calibrate": {"delta_ghz": 1.0, "t1_inverse_ghz": 0}}
+        code, out = run(tmp_path, "calibrate", "--config", write_config(tmp_path, cfg))
+        assert code == EXIT_OK
+        payload = json.loads(read(out / "calibration_report.json"))
+        assert payload["alpha"] == 0.0
+        assert payload["purity_loss_bgate"] == 0.0
+        assert payload["purity_loss_cnot_class"] == 0.0
+
 
 class TestStrictJson:
     # Configs whose reports hold an infinite number.
@@ -546,6 +556,14 @@ class TestNonFiniteControls:
         code, _ = run(tmp_path, command, "--config", write_config(tmp_path, self.HUGE))
         assert code == EXIT_NUMERIC
         assert "nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["purity", "sensitivity"])
+    def test_overflow_names_its_cause(self, tmp_path, capsys, command):
+        # The generator is finite but expm(L dt) is not; the message must
+        # say so rather than blame the sampling or the final state.
+        code, _ = run(tmp_path, command, "--config", write_config(tmp_path, self.HUGE))
+        assert code == EXIT_NUMERIC
+        assert "propagator overflowed: expm(L dt) has nan or inf entries" in capsys.readouterr().err
 
 
 class TestEnvironmentOutput:

@@ -4,8 +4,10 @@ from scipy.linalg import expm
 
 from degengate import (
     HamiltonianParams,
+    MakhlinInvariants,
     NoiseModel,
     build_hamiltonian,
+    cnot_class_pulse,
     fidelity_score,
     gate_distance,
     is_equivalent,
@@ -121,6 +123,23 @@ class TestMakhlinInvariants:
                 for s in np.linspace(0.05, 2.0, 40):
                     inv = makhlin_invariants(expm(-1j * s * h))
                     assert inv.distance(target) > 1e-3
+
+    def test_gap_zero_for_equal_invariants(self):
+        inv = makhlin_invariants(target_gate("SQRT_SWAP"))
+        assert inv.gap(inv) == 0.0
+        assert inv.gap(MakhlinInvariants(g1=inv.g1, g2=inv.g2)) == 0.0
+
+    def test_gap_sums_where_distance_takes_the_max(self):
+        a = MakhlinInvariants(g1=0.3 + 0.4j, g2=1.0)
+        b = MakhlinInvariants(g1=0.0, g2=3.0)
+        assert a.gap(b) == pytest.approx(0.5 + 2.0, abs=1e-15)
+        assert a.distance(b) == pytest.approx(2.0, abs=1e-15)
+        assert a.gap(b) == b.gap(a)
+
+    def test_gap_reproduces_class_pulse_gap(self):
+        pulse = cnot_class_pulse(2.0, 1.0)
+        gap = makhlin_invariants(pulse.unitary()).gap(makhlin_invariants(target_gate("CNOT")))
+        assert gap == pulse.notes["invariant_gap"]
 
 
 class TestEquivalence:

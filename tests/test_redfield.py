@@ -215,12 +215,37 @@ class TestPropagation:
     def test_trace_and_hermiticity_long_run(self):
         # Invariants over t in [0, 10 t0] for the headline construction.
         rho0 = DensityMatrix(initial_product_states()[5])
-        traj = propagate(rho0, CNOT_REFINED, DESK, t_final=10.0, dt=5e-4,
-                         eigen_floor=-(1e-6 + 0.02 * DESK.alpha))
+        traj = propagate(rho0, CNOT_REFINED, DESK, t_final=10.0, dt=5e-4)
         for k in range(0, len(traj.times), 2000):
             m = traj.matrices[k]
             assert abs(np.trace(m).real - 1.0) < 1e-8
             np.testing.assert_allclose(m, m.conj().T, atol=1e-8)
+
+    def test_propagate_validates_at_noise_floor(self, monkeypatch):
+        # The final state is checked against the noise-scaled floor purity
+        # traces use, not the bare EIGENVALUE_FLOOR.
+        import degengate.redfield as rf
+
+        floors = []
+        validate = DensityMatrix.validate
+
+        def spy(self, state_index=None, eigen_floor=rf.EIGENVALUE_FLOOR):
+            floors.append(eigen_floor)
+            return validate(self, state_index=state_index, eigen_floor=eigen_floor)
+
+        monkeypatch.setattr(DensityMatrix, "validate", spy)
+        nm = NoiseModel.from_reduced(alpha=0.01)
+        propagate(DensityMatrix(initial_product_states()[5]), CNOT_REFINED, nm,
+                  t_final=1.0, dt=1e-2)
+        assert floors == [rf._noise_eigen_floor(nm)] == [-(1e-6 + 0.02 * 0.01)]
+
+    def test_propagate_rejects_state_below_floor(self, monkeypatch):
+        import degengate.redfield as rf
+
+        monkeypatch.setattr(rf, "_noise_eigen_floor", lambda nm: 0.5)
+        with pytest.raises(StateValidityError, match="below floor"):
+            propagate(DensityMatrix(initial_product_states()[5]), CNOT_REFINED, DESK,
+                      t_final=1.0, dt=1e-2)
 
     def test_single_qubit_relaxation_rate(self):
         # J = 0, excited qubit decays at S(2 Delta)/pi; the quoted identity
