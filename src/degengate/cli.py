@@ -50,7 +50,7 @@ from .errors import (
     StateValidityError,
 )
 from .hamiltonian import build_hamiltonian, classify_degeneracy, eigensystem, pulse_unitary
-from .metrics import makhlin_invariants, report
+from .metrics import makhlin_invariants
 from .presets import experiment_config
 from .redfield import RELAXATION_NORMALIZATION, gate_purity
 from .search import SearchSpec, calibrate, optimize, sensitivity, sweep
@@ -350,12 +350,13 @@ def cmd_calibrate(args):
         temperature_kelvin=cal_cfg.get("temperature_kelvin"),
     )
     # Loss estimates for the two published one-step constructions at the
-    # calibrated coupling, both over one nominal gate duration t0 (exactly
-    # 0 without noise). The CNOT-class loss takes the unscaled couplings
-    # over t0, not the pulse's class duration, so no class-time scan runs here.
-    loss_b = report(onestep_bgate(refined=True).params, target_gate("B"), cal.noise).purity_loss
+    # calibrated coupling, both over one nominal gate duration t0. The
+    # CNOT-class loss takes the unscaled couplings over t0, not the pulse's
+    # class duration, so no class-time scan runs here.
     ratio = cal_cfg.get("j_ghz", 20.0) / float(cal_cfg["delta_ghz"])
-    loss_cnot = report(cnot_class_params(ratio, 1.0), target_gate("CNOT"), cal.noise).purity_loss
+    b, cnot = onestep_bgate(refined=True).params, cnot_class_params(ratio, 1.0)
+    loss_b = gate_purity(b, cal.noise, t_final=b.t0, dt=b.t0).loss()
+    loss_cnot = gate_purity(cnot, cal.noise, t_final=cnot.t0, dt=cnot.t0).loss()
     _write_report(args, cfg, "calibration_report.json", {
         "alpha": cal.alpha,
         "flagged": cal.flagged,

@@ -170,18 +170,15 @@ class GateReport:
 
 
 def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel, t0=None):
-    """Assemble distance, invariants, equivalence and purity into a GateReport."""
+    """Assemble distance, invariants, equivalence and the two-sample
+    ``gate_purity`` loss and rate over ``t0`` into a GateReport."""
     if t0 is None:
         t0 = params.t0
     u = pulse_unitary(build_hamiltonian(params), t0)
     raw, phase_opt = gate_distance(u, target)
     inv = makhlin_invariants(u)
     target_inv = makhlin_invariants(target)
-    if nm.alpha == 0.0:
-        purity_loss, rate = 0.0, 0.0
-    else:
-        trace = gate_purity(params, nm, t_final=t0, dt=t0)
-        purity_loss, rate = trace.loss(), trace.decay_rate
+    trace = gate_purity(params, nm, t_final=t0, dt=t0)
     return GateReport(
         target=target.name,
         distance_raw=raw,
@@ -190,8 +187,8 @@ def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel, t0=Non
         g1=inv.g1,
         g2=inv.g2,
         equivalent=inv.distance(target_inv) < DEFAULT_EQUIVALENCE_TOL,
-        purity_loss=purity_loss,
-        decay_rate=rate,
+        purity_loss=trace.loss(),
+        decay_rate=trace.decay_rate,
         t0=t0,
         params=params,
         noise=nm,

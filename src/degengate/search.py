@@ -15,7 +15,6 @@ closed-form slope. The degeneracy-break probe rates its random
 perturbations of a point with the same kernel.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .hamiltonian import (
 )
 from .metrics import (GateReport, GateTarget, MakhlinInvariants, fidelity_score,
                       makhlin_invariants, report)
-from .noise import NoiseModel
+from .noise import WEAK_COUPLING_WARN, NoiseModel
 from .redfield import gate_purity, initial_purity_slope, purity_slopes
 
 
@@ -551,8 +550,8 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
 
     Detunes every nonzero control by +-SENSITIVITY_STEP (relative), fits the
     quadratic response of the combined error (coherent gate deviation
-    plus the change in propagated purity loss), and inverts it for the
-    tolerance radius at the given budget.
+    plus the change in propagated purity loss, which is exactly 0 without
+    a bath), and inverts it for the tolerance radius at the given budget.
 
     When ``target`` is given (a GateTarget or unitary), the coherent error
     is measured against it and a linear term above ``LINEAR_TOL`` flags
@@ -569,17 +568,12 @@ def sensitivity(params: HamiltonianParams, nm: NoiseModel, budget=1e-4,
     check_linear = target is not None
     if not check_linear:
         target = pulse_unitary(build_hamiltonian(params), gate_time)
-    base_loss = (
-        gate_purity(params, nm, t_final=gate_time, dt=gate_time).loss()
-        if nm.alpha > 0.0
-        else 0.0
-    )
+    base_loss = gate_purity(params, nm, t_final=gate_time, dt=gate_time).loss()
 
     def errors(p):
-        coh = err = 1.0 - fidelity_score(pulse_unitary(build_hamiltonian(p), gate_time), target)
-        if nm.alpha > 0.0:
-            err += gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss() - base_loss
-        return coh, err
+        coh = 1.0 - fidelity_score(pulse_unitary(build_hamiltonian(p), gate_time), target)
+        loss = gate_purity(p, nm, t_final=gate_time, dt=gate_time).loss()
+        return coh, coh + (loss - base_loss)
 
     quadratic, linear, coh_linear, radii = {}, {}, {}, {}
     non_optimal = False
@@ -651,7 +645,8 @@ def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None):
     device numbers in their quoted units. The returned reduced NoiseModel
     is ready for gate runs where the device tunneling amplitude maps to
     one reduced unit; when ``temperature_kelvin`` is omitted the reduced
-    temperature is CALIBRATION_TEMPERATURE.
+    temperature is CALIBRATION_TEMPERATURE. An alpha above
+    WEAK_COUPLING_WARN sets ``flagged`` (the NoiseModel itself warns).
     """
     if delta_ghz <= 0:
         raise InvalidParameterError("delta_ghz must be positive")
@@ -671,9 +666,7 @@ def calibrate(delta_ghz, t1_inverse_ghz, temperature_kelvin=None):
         coth = 1.0 / np.tanh(x) if np.isfinite(x) else 1.0
         alpha = np.pi * t1_inverse_ghz / (2.0 * delta_ghz * coth)
 
-    flagged = alpha > 0.1
-    if flagged:
-        warnings.warn(f"calibrated alpha={alpha:g} is outside the weak-coupling regime")
+    flagged = alpha > WEAK_COUPLING_WARN
     noise = NoiseModel.from_reduced(
         alpha=alpha, temperature=t_reduced, cutoff=CALIBRATION_CUTOFF
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -261,9 +262,12 @@ class TestPurity:
         header = lines[0].split(",")
         assert header[:2] == ["t", "P"] and len(header) == 18
         for line in lines[1:]:
-            assert float(line.split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+            # P and every per-state cell p01..p16 are exactly 1, not rounding.
+            assert [float(cell) for cell in line.split(",")[1:]] == [1.0] * 17
         summary = json.loads(read(out / "purity_summary.json"))
-        assert summary["loss"] == pytest.approx(0.0, abs=1e-9)
+        assert summary["loss"] == 0.0
+        assert summary["initial_slope"] == 0.0
+        assert math.copysign(1.0, summary["initial_slope"]) == 1.0
 
     def test_embedded_config_revalidates(self, tmp_path):
         # every emitted report embeds a config that the package's own
@@ -519,7 +523,7 @@ class TestCalibrateCommand:
         assert 0.105 <= payload["purity_loss_cnot_class"] <= 0.195
 
     def test_zero_noise_losses_are_exactly_zero(self, tmp_path):
-        # Without a bath nothing is propagated: the losses are 0, not rounding.
+        # Without a bath the losses are exactly 0, not rounding.
         cfg = {"calibrate": {"delta_ghz": 1.0, "t1_inverse_ghz": 0}}
         code, out = run(tmp_path, "calibrate", "--config", write_config(tmp_path, cfg))
         assert code == EXIT_OK
@@ -527,6 +531,16 @@ class TestCalibrateCommand:
         assert payload["alpha"] == 0.0
         assert payload["purity_loss_bgate"] == 0.0
         assert payload["purity_loss_cnot_class"] == 0.0
+
+    def test_huge_coupling_ratio_reports_losses(self, tmp_path):
+        # Only the losses are reported, so no gate unitary is built or
+        # checked: a CNOT-class coupling of 1e8 reduced units still runs.
+        cfg = {"calibrate": {"delta_ghz": 10.0, "j_ghz": 1e9, "t1_inverse_ghz": 0.1}}
+        code, out = run(tmp_path, "calibrate", "--config", write_config(tmp_path, cfg))
+        assert code == EXIT_OK
+        payload = json.loads(read(out / "calibration_report.json"))
+        assert math.isfinite(payload["purity_loss_bgate"])
+        assert math.isfinite(payload["purity_loss_cnot_class"])
 
 
 class TestStrictJson:

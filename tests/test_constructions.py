@@ -20,7 +20,7 @@ from degengate import (
     standard_cnot_protocol,
     target_gate,
 )
-from degengate.constructions import log_branch_commutator
+from degengate.constructions import comparison_noise, log_branch_commutator
 from degengate.errors import InvalidParameterError
 from degengate.pauli import pauli_tensor
 
@@ -161,6 +161,12 @@ class TestFiveStepProtocol:
         comp = protocol_comparison()
         assert 0.10 <= comp["duration_ratio"] <= 0.25
         assert 5.0 <= comp["loss_ratio"] <= 20.0
+
+    def test_noiseless_comparison_is_exact(self):
+        # Both losses are exactly 0 by rule, so the ratio is inf by rule too.
+        comp = protocol_comparison(comparison_noise(alpha=0.0))
+        assert comp["onestep_loss"] == comp["fivestep_loss"] == 0.0
+        assert comp["loss_ratio"] == np.inf
 
 
 class TestClassPulse:

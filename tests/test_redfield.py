@@ -192,7 +192,7 @@ class TestPropagation:
     def test_unitary_case_purity_constant(self):
         nm0 = NoiseModel(alpha=0.0, temperature=0.0, cutoff=60.0)
         trace = gate_purity(CNOT_REFINED, nm0)
-        assert np.max(np.abs(trace.average - 1.0)) < 1e-9
+        assert np.max(np.abs(trace.average - 1.0)) == 0.0
 
     def test_propagator_check_failure_raises(self, monkeypatch):
         # 10^4 repeated products drift from the single expm by ~1e-13 of

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -480,6 +482,13 @@ class TestCalibrate:
         with pytest.warns(UserWarning):
             cal = calibrate(10.0, 10.0)
         assert cal.flagged
+
+    def test_strong_coupling_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calibrate(10.0, 10.0)
+        assert len(caught) == 1
+        assert "outside the weak-coupling regime" in str(caught[0].message)
 
 
 def per_draw_probe(params, expected, nm, draws=100, seed=11, gap_floor=1e-4):
