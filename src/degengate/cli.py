@@ -329,7 +329,6 @@ def cmd_sensitivity(args):
         "quadratic": rep.quadratic,
         "linear": rep.linear,
         "coherent_linear": rep.coherent_linear,
-        "non_optimal": rep.non_optimal,
     })
     print(
         f"{label}: tolerance radius {rep.radius:.4%} of parameter values "

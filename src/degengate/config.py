@@ -89,7 +89,7 @@ CONSTRUCTIONS = {
     "cnot_onestep_printed": lambda cfg: onestep_cnot(refined=False),
     "bgate_onestep_refined": lambda cfg: onestep_bgate(refined=True),
     "bgate_onestep_printed": lambda cfg: onestep_bgate(refined=False),
-    "bgate_onestep_polished": lambda cfg: refine_bgate()[0],
+    "bgate_onestep_polished": lambda cfg: refine_bgate(),
     "cnot_class_pulse": lambda cfg: cnot_class_pulse(
         cfg.get("j", 2.0), cfg.get("delta", 1.0)
     ),

@@ -291,7 +291,8 @@ def refine_bgate():
 
     Starts from ``onestep_bgate(refined=True)`` and keeps the double
     degeneracy exact by tying Jz = Delta^2/Jy throughout.
-    Returns (OneStepGate, invariant gap achieved).
+    Returns the OneStepGate; the invariant gap it achieves is in
+    ``notes["invariant_gap"]``.
     """
     from scipy.optimize import minimize  # about 0.3 s to import
 
@@ -321,7 +322,7 @@ def refine_bgate():
         gate_time=float(scale) * params.t0,
         notes={"invariant_gap": float(res.fun), "jy": float(jy), "time_scale": float(scale)},
     )
-    return gate, float(res.fun)
+    return gate
 
 
 # ---------------------------------------------------------------------------

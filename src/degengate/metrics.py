@@ -177,7 +177,6 @@ def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel, t0=Non
     u = pulse_unitary(build_hamiltonian(params), t0)
     raw, phase_opt = gate_distance(u, target)
     inv = makhlin_invariants(u)
-    target_inv = makhlin_invariants(target)
     trace = gate_purity(params, nm, t_final=t0, dt=t0)
     return GateReport(
         target=target.name,
@@ -186,7 +185,7 @@ def report(params: HamiltonianParams, target: GateTarget, nm: NoiseModel, t0=Non
         fidelity=fidelity_score(u, target),
         g1=inv.g1,
         g2=inv.g2,
-        equivalent=inv.distance(target_inv) < DEFAULT_EQUIVALENCE_TOL,
+        equivalent=is_equivalent(inv, target),
         purity_loss=trace.loss(),
         decay_rate=trace.decay_rate,
         t0=t0,

@@ -349,8 +349,8 @@ def _evolve(lmat, y0, dt, n_steps, record):
     return y
 
 
-def _check_times(t_final, dt=None):
-    if not (0.0 <= t_final < np.inf) or (dt is not None and not (0.0 < dt < np.inf)):
+def _check_times(t_final, dt):
+    if not (0.0 <= t_final < np.inf and 0.0 < dt < np.inf):
         raise InvalidParameterError(
             f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}"
         )
@@ -483,35 +483,45 @@ def purity_slopes(energies, vectors, nm: NoiseModel):
     return -4.0 * np.einsum("akm,...amk->...", SLOPE_WEIGHTS, m).real
 
 
-def _purity_trace(segments, es: EigenSystem, nm: NoiseModel):
-    """Propagate the 16 product states through constant-generator segments.
+def _purity_trace(segments, dt, nm: NoiseModel):
+    """Propagate the 16 product states through piecewise-constant Hamiltonians.
 
-    ``segments`` lists (standard-basis Liouvillian, duration, dt); each
-    segment is sampled on the ``_grid`` nearest dt. The states start from
-    PRODUCT_COEFFS and are propagated as real Pauli coefficients under each
-    segment's ``_bloch_generator``; their purities are |c|^2 / 4. The
-    initial slope is the closed form ``purity_slopes`` on ``es``, the
-    eigensystem of the first segment's Hamiltonian. Every final state is
-    mapped back to a matrix and validated with its state index. Without a
-    bath (``nm.alpha == 0``) the evolution is unitary, so after validation
+    ``segments`` lists (hamiltonian, duration) pairs in physical angular
+    units; each segment is sampled on the ``_grid`` nearest ``dt``. A
+    negative duration, a ``dt`` that is not positive, an empty list or a
+    Hamiltonian that is not 4x4 raises InvalidParameterError, and so does
+    one with a non-finite entry. The eigensystems and standard-basis
+    generators of all segments are built in one ``_generators`` call. The
+    states start from PRODUCT_COEFFS and are propagated as real Pauli
+    coefficients under each segment's ``_bloch_generator``; their purities
+    are |c|^2 / 4. The initial slope is the closed form ``purity_slopes``
+    on the first segment's eigensystem. Every final state is mapped back
+    to a matrix and validated with its state index. Without a bath
+    (``nm.alpha == 0``) the evolution is unitary, so after validation
     every purity is set to exactly 1 and the slope to exactly 0.
     """
+    for _, duration in segments:
+        _check_times(duration, dt)
+    hs = [np.asarray(h, dtype=complex) for h, _ in segments]
+    if not hs or any(h.shape != (4, 4) for h in hs):
+        raise InvalidParameterError("need at least one segment, each with a 4x4 Hamiltonian")
+    energies, vectors, lmats = _generators(np.array(hs), nm)
     # First, not last: taken right before a CLI writes the trace, this call
     # was measured to slow the CSV's float formatting by about a third.
-    slope = float(purity_slopes(es.energies, es.vectors, nm))
+    slope = float(purity_slopes(energies[0], vectors[0], nm))
     c = PRODUCT_COEFFS
     all_times = [np.zeros(1)]
     all_purity = [_purities(c[None])]
     t_offset = 0.0
-    for lmat, duration, dt in segments:
-        n_steps, dt = _grid(duration, dt)
+    for lmat, (_, duration) in zip(lmats, segments):
+        n_steps, seg_dt = _grid(duration, dt)
         seg_purity = np.empty((n_steps + 1, 16))
 
         def record(start, block):
             seg_purity[start:start + len(block)] = _purities(block)
 
-        c = _evolve(_bloch_generator(lmat), c, dt, n_steps, record)
-        all_times.append(t_offset + np.arange(1, n_steps + 1) * dt)
+        c = _evolve(_bloch_generator(lmat), c, seg_dt, n_steps, record)
+        all_times.append(t_offset + np.arange(1, n_steps + 1) * seg_dt)
         all_purity.append(seg_purity[1:])
         t_offset += duration
 
@@ -539,45 +549,26 @@ def gate_purity(params: HamiltonianParams, nm: NoiseModel, t_final=None, dt=None
     t0 / DEFAULT_STEPS_PER_T0, whatever the spectrum; pass a smaller ``dt``
     to resolve faster oscillations. Propagation is exact for any ``dt``, so
     a caller that needs only the final loss passes ``dt=t_final`` and gets
-    a two-sample trace. A negative ``t_final`` or a ``dt`` that is not
-    positive raises InvalidParameterError. A state that fails validation
-    raises StateValidityError with its index attached. The initial slope
-    is the closed form ``purity_slopes`` on the eigensystem ``_pipeline``
-    returns with the generator. At ``nm.alpha == 0`` the trace is exactly
-    1 and the slope exactly 0.
+    a two-sample trace. The one-segment case of ``_purity_trace``, which
+    validates the times and states and sets the slope.
     """
     if t_final is None:
         t_final = params.t0
-    _check_times(t_final, dt)
     if dt is None:
         dt = params.t0 / DEFAULT_STEPS_PER_T0
-    es, lmat = _pipeline(params, nm)
-    return _purity_trace([(lmat, t_final, dt)], es, nm)
+    return _purity_trace([(build_hamiltonian(params), t_final)], dt, nm)
 
 
 def sequence_gate_purity(segments, nm: NoiseModel):
     """Gate purity through a piecewise-constant Hamiltonian sequence.
 
     ``segments`` is a list of (hamiltonian, duration) pairs in physical
-    angular units and time units (t0 = 1) respectively; an empty list or a
-    negative duration raises InvalidParameterError, and so does a
-    Hamiltonian with a non-finite entry. Each segment is sampled every
-    1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration (at least one
-    step). The eigensystems and standard-basis generators of all segments
-    are built in one ``_generators`` call; ``_purity_trace`` propagates the
-    16 product states under their Pauli form. The initial slope is the
-    closed form ``purity_slopes`` on the first segment's eigensystem; at
-    ``nm.alpha == 0`` the trace is exactly 1 and the slope exactly 0.
+    angular units and time units (t0 = 1) respectively. Each segment is
+    sampled every 1 / DEFAULT_STEPS_PER_T0, rounded to fit its duration
+    (at least one step). ``_purity_trace`` validates the sequence and the
+    states and sets the slope.
     """
-    for _, duration in segments:
-        _check_times(duration)
-    hs = [np.asarray(h, dtype=complex) for h, _ in segments]
-    if not hs or any(h.shape != (4, 4) for h in hs):
-        raise InvalidParameterError("need at least one segment, each with a 4x4 Hamiltonian")
-    energies, vectors, lmats = _generators(np.array(hs), nm)
-    dt = 1.0 / DEFAULT_STEPS_PER_T0
-    return _purity_trace([(lmat, duration, dt) for lmat, (_, duration) in zip(lmats, segments)],
-                         EigenSystem(energies[0], vectors[0]), nm)
+    return _purity_trace(segments, 1.0 / DEFAULT_STEPS_PER_T0, nm)
 
 
 @dataclass(frozen=True)

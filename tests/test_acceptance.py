@@ -266,7 +266,7 @@ class TestCriterion8Sensitivity:
         ok = not rep_cnot.non_optimal
         ok = ok and 0.0015 <= rep_cnot.radius <= 0.006
 
-        b_gate, _ = refine_bgate()
+        b_gate = refine_bgate()
         rep_b = sensitivity(
             b_gate.params, cal.noise, budget=1e-4, gate_time=b_gate.gate_time
         )

@@ -543,6 +543,15 @@ class TestCalibrateCommand:
         assert math.isfinite(payload["purity_loss_cnot_class"])
 
 
+class TestSensitivityCommand:
+    def test_report_omits_optimality_flag(self, tmp_path):
+        # The CLI names no target gate, so sensitivity() never runs the
+        # optimality check that would fill a "non_optimal" field.
+        code, out = run(tmp_path, "sensitivity", "--experiment", "paper:cnot")
+        assert code == EXIT_OK
+        assert "non_optimal" not in strict_json(out / "sensitivity_report.json")
+
+
 class TestStrictJson:
     # Configs whose reports hold an infinite number.
     NON_FINITE = {

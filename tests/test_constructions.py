@@ -223,8 +223,8 @@ class TestBGate:
         assert rep.pair_gap_measure < 1e-9
 
     def test_polish_reaches_b_class(self):
-        gate, gap = refine_bgate()
-        assert gap < 1e-4
+        gate = refine_bgate()
+        assert gate.notes["invariant_gap"] < 1e-4
         inv = makhlin_invariants(gate.unitary())
         assert abs(inv.g1) + abs(inv.g2) < 1e-4
         # still exactly on the double-degeneracy manifold

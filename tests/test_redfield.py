@@ -30,7 +30,6 @@ from degengate.redfield import (
     _evolve,
     _generators,
     _pipeline,
-    _purity_trace,
     purity_slopes,
 )
 from degengate.hamiltonian import PARAM_NAMES, EigenSystem
@@ -492,9 +491,9 @@ class TestExactEngine:
         assert np.max(np.abs(trace.per_state - ref)) <= 1e-12
 
     def test_non_hermiticity_preserving_generator_rejected(self):
-        es, lmat = _pipeline(CNOT_REFINED, DESK)
+        _, lmat = _pipeline(CNOT_REFINED, DESK)
         with pytest.raises(IntegrationError, match="Hermiticity"):
-            _purity_trace([(lmat + 1e-3j * np.eye(16), 1.0, 0.1)], es, DESK)
+            _bloch_generator(lmat + 1e-3j * np.eye(16))
 
     def test_propagate_history_matches_sequential_products(self):
         es, _ = _pipeline(CNOT_REFINED, DESK)
@@ -523,8 +522,10 @@ class TestSequencePurity:
         h = build_hamiltonian(CNOT_REFINED)
         seq_trace = sequence_gate_purity([(h, 1.0)], DESK)
         ref = gate_purity(CNOT_REFINED, DESK)
-        assert seq_trace.loss() == pytest.approx(ref.loss(), rel=1e-6, abs=1e-10)
-        assert seq_trace.initial_slope == pytest.approx(ref.initial_slope, rel=1e-9)
+        # Both are the one-segment call of the same engine.
+        np.testing.assert_array_equal(seq_trace.times, ref.times)
+        np.testing.assert_array_equal(seq_trace.per_state, ref.per_state)
+        assert seq_trace.initial_slope == ref.initial_slope
 
     def test_slope_is_closed_form_of_first_segment(self):
         segments = [(build_hamiltonian(BGATE), 0.5),
