@@ -330,10 +330,7 @@ def cmd_sensitivity(args):
         "linear": rep.linear,
         "coherent_linear": rep.coherent_linear,
     })
-    print(
-        f"{label}: tolerance radius {rep.radius:.4%} of parameter values "
-        f"(budget {rep.budget:g}); non-optimal: {rep.non_optimal}"
-    )
+    print(f"{label}: tolerance radius {rep.radius:.4%} of parameter values (budget {rep.budget:g})")
     return EXIT_OK
 
 

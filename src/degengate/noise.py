@@ -12,6 +12,7 @@ generator it feeds has no detailed balance (absorption and emission rates
 coincide); the stationary state of the dissipator is maximally mixed.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +46,15 @@ class NoiseModel:
         if self.cutoff <= 0:
             raise InvalidParameterError("cutoff must be positive")
         if self.alpha > WEAK_COUPLING_WARN:
+            # Name the caller of NoiseModel(...) or NoiseModel.from_reduced(...):
+            # skip __post_init__, the dataclass __init__ and this module's frames.
+            stacklevel, frame = 3, sys._getframe(2)
+            while frame.f_code.co_filename == __file__:
+                stacklevel, frame = stacklevel + 1, frame.f_back
             warnings.warn(
                 f"alpha={self.alpha:g} is outside the weak-coupling regime "
                 f"(expected alpha << 1)",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
     @classmethod

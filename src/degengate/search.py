@@ -9,9 +9,9 @@ over a bounded subset of the seven controls, using seeded Sobol restarts
 of a Nelder-Mead simplex; everything is deterministic for a fixed seed.
 The sweep engine evaluates the analytic initial purity-decay rate
 |dP/dt| at t=0 on a 2-D parameter grid, which is the quantity whose
-landscape exhibits minima at the double-degeneracy points; it works one
-grid row at a time, from one stacked eigendecomposition and the
-closed-form slope. The degeneracy-break probe rates its random
+landscape exhibits minima at the double-degeneracy points; it works in
+chunks of whole grid rows, each from one stacked eigendecomposition and
+the closed-form slope. The degeneracy-break probe rates its random
 perturbations of a point with the same kernel.
 """
 
@@ -266,21 +266,21 @@ class SweepGrid:
         if not np.all(np.isfinite([*self.values1, *self.values2, *self.fixed.values()])):
             raise InvalidParameterError("grid values and fixed controls must be finite")
 
-    def row_controls(self, i):
-        """Controls of the cells of row ``i``, shape (len(values2), 7).
+    def controls(self):
+        """Controls of every cell, shape (len(values1), len(values2), 7).
 
         Returns the controls (ordered like PARAM_NAMES, jx closed where
-        the closure is on) and the boolean mask of the cells the closure
-        allows.
+        the closure is on) and the (len(values1), len(values2)) boolean
+        mask of the cells the closure allows.
         """
-        controls = np.zeros((len(self.values2), len(PARAM_NAMES)))
+        controls = np.zeros((len(self.values1), len(self.values2), len(PARAM_NAMES)))
         for name, value in self.fixed.items():
-            controls[:, PARAM_NAMES.index(name)] = value
-        controls[:, PARAM_NAMES.index(self.param1)] = self.values1[i]
-        controls[:, PARAM_NAMES.index(self.param2)] = self.values2
-        allowed = np.ones(len(self.values2), dtype=bool)
+            controls[..., PARAM_NAMES.index(name)] = value
+        controls[..., PARAM_NAMES.index(self.param1)] = self.values1[:, None]
+        controls[..., PARAM_NAMES.index(self.param2)] = self.values2
+        allowed = np.ones(controls.shape[:2], dtype=bool)
         if self.closure == "jx_from_norm":
-            jy, jz = controls[:, PARAM_NAMES.index("jy")], controls[:, PARAM_NAMES.index("jz")]
+            jy, jz = controls[..., PARAM_NAMES.index("jy")], controls[..., PARAM_NAMES.index("jz")]
             residual = self.coupling_norm**2 - jy**2 - jz**2
             allowed = residual >= 0
             controls[allowed, PARAM_NAMES.index("jx")] = np.sqrt(residual[allowed])
@@ -348,12 +348,18 @@ class SweepResult:
         return [dict(zip(keys, row)) for row in self.rows()]
 
 
+#: Most grid cells ``sweep`` passes to one ``_sweep_cells`` call; it bounds
+#: the kernel's working memory. A fig1 sweep (41 x 41) raised peak memory by
+#: about 1.9 MB at 512 cells per call and 3.4 MB at 4096, with no gain in speed.
+SWEEP_CHUNK_CELLS = 512
+
+
 def _sweep_cells(controls, nm, tol):
     """|dP/dt| at t=0, degeneracy class and adjacent gaps of (n, 7) controls.
 
     One stacked ``eigh`` and one closed-form slope kernel for all n cells,
-    at t0 = 1; ``sweep`` calls it per grid row, ``degeneracy_break_probe``
-    per batch of draws.
+    at t0 = 1; ``sweep`` calls it per chunk of grid rows,
+    ``degeneracy_break_probe`` per batch of draws.
     """
     energies, vectors = eigh_stack(build_hamiltonians(controls))
     adjacent = np.diff(energies, axis=-1)
@@ -363,55 +369,60 @@ def _sweep_cells(controls, nm, tol):
 def sweep(grid: SweepGrid, nm: NoiseModel):
     """Evaluate |dP/dt| at t=0 and degeneracy diagnostics on every cell.
 
-    The grid is evaluated one row at a time: the row's feasible cells are
-    diagonalized together by one ``np.linalg.eigh`` call on their stacked
-    Hamiltonians, and their rates come from the closed-form slope kernel
-    ``purity_slopes``, so no Liouvillian or product state is built, and
-    memory does not grow with the grid.
-    A row that raises a numerical failure (DegengateError or LinAlgError)
-    is redone cell by cell, and only the failing cells are marked
-    infeasible with ``error: ...`` as their reason; any other exception
-    propagates.
+    The grid is evaluated in chunks of whole rows, as many rows as fit in
+    SWEEP_CHUNK_CELLS cells (a grid whose rows are longer than that is cut
+    into chunks of SWEEP_CHUNK_CELLS consecutive cells). A chunk's
+    feasible cells are diagonalized together by one ``np.linalg.eigh``
+    call on their stacked Hamiltonians, and their rates come from the
+    closed-form slope kernel ``purity_slopes``, so no Liouvillian or
+    product state is built, and the kernel's memory does not grow with
+    the grid.
+    A chunk that raises a numerical failure (DegengateError or
+    LinAlgError) is redone cell by cell, and only the failing cells are
+    marked infeasible with ``error: ...`` as their reason; any other
+    exception propagates.
     """
     n1, n2 = len(grid.values1), len(grid.values2)
-    decay = np.full((n1, n2), np.nan)
-    classification = np.full((n1, n2), "none", dtype=object)
-    min_gap = np.full((n1, n2), np.nan)
-    pair_gap = np.full((n1, n2), np.nan)
-    ground_gap = np.full((n1, n2), np.nan)
-    feasible = np.zeros((n1, n2), dtype=bool)
-    reason = np.full((n1, n2), "", dtype=object)
+    controls, allowed = grid.controls()
+    controls, allowed = controls.reshape(n1 * n2, -1), allowed.ravel()
+    decay = np.full(n1 * n2, np.nan)
+    classification = np.full(n1 * n2, "none", dtype=object)
+    min_gap = np.full(n1 * n2, np.nan)
+    pair_gap = np.full(n1 * n2, np.nan)
+    ground_gap = np.full(n1 * n2, np.nan)
+    feasible = np.zeros(n1 * n2, dtype=bool)
+    reason = np.full(n1 * n2, "", dtype=object)
+    reason[~allowed] = "infeasible: |J| closure"
     tol = grid.degeneracy_tol * np.pi
 
-    for i in range(n1):
-        controls, allowed = grid.row_controls(i)
-        reason[i, ~allowed] = "infeasible: |J| closure"
-        cells = np.flatnonzero(allowed)
+    step = n2 * (SWEEP_CHUNK_CELLS // n2) or SWEEP_CHUNK_CELLS
+    for start in range(0, n1 * n2, step):
+        cells = start + np.flatnonzero(allowed[start:start + step])
         try:
             done = [(cells, _sweep_cells(controls[cells], nm, tol))]
         except (DegengateError, np.linalg.LinAlgError):  # numerical failures stay per cell
             done = []
-            for j in cells:
+            for k in cells:
                 try:
-                    done.append(([j], _sweep_cells(controls[[j]], nm, tol)))
+                    done.append(([k], _sweep_cells(controls[[k]], nm, tol)))
                 except (DegengateError, np.linalg.LinAlgError) as exc:
-                    reason[i, j] = f"error: {exc}"
-        for js, (rate, classes, adjacent) in done:
-            decay[i, js] = rate
-            classification[i, js] = classes
-            min_gap[i, js] = constraint_gap(adjacent, "single") / np.pi
-            pair_gap[i, js] = constraint_gap(adjacent, "double") / np.pi
-            ground_gap[i, js] = adjacent[:, 0] / np.pi
-            feasible[i, js] = True
+                    reason[k] = f"error: {exc}"
+        for ks, (rate, classes, adjacent) in done:
+            decay[ks] = rate
+            classification[ks] = classes
+            min_gap[ks] = constraint_gap(adjacent, "single") / np.pi
+            pair_gap[ks] = constraint_gap(adjacent, "double") / np.pi
+            ground_gap[ks] = adjacent[:, 0] / np.pi
+            feasible[ks] = True
     return SweepResult(
         grid=grid,
-        decay_rate=decay,
-        classification=classification,
-        min_gap=min_gap,
-        pair_gap=pair_gap,
-        ground_gap=ground_gap,
-        feasible=feasible,
-        reason=reason,
+        decay_rate=decay.reshape(n1, n2),
+        classification=classification.reshape(n1, n2),
+        min_gap=min_gap.reshape(n1, n2),
+        pair_gap=pair_gap.reshape(n1, n2),
+        ground_gap=ground_gap.reshape(n1, n2),
+        feasible=feasible.reshape(n1, n2),
+        reason=reason.reshape(n1, n2),
     )
 
 
@@ -458,7 +469,7 @@ def degeneracy_break_probe(params: HamiltonianParams, expected, nm: NoiseModel,
     Candidates are drawn one attempt at a time, and an attempt uses the
     same random numbers whether or not it is kept, so the probe draws as
     many attempts as it still needs draws and rates them together. Each
-    batch, and the point itself, goes through the sweep's row kernel: one
+    batch, and the point itself, goes through the sweep's kernel: one
     stacked ``eigh``, the classification and the closed-form slope, with no
     Liouvillian or product state.
 

@@ -544,12 +544,15 @@ class TestCalibrateCommand:
 
 
 class TestSensitivityCommand:
-    def test_report_omits_optimality_flag(self, tmp_path):
+    def test_report_omits_optimality_flag(self, tmp_path, capsys):
         # The CLI names no target gate, so sensitivity() never runs the
-        # optimality check that would fill a "non_optimal" field.
+        # optimality check that would fill a "non_optimal" field; neither
+        # the report nor stdout carries that constant.
         code, out = run(tmp_path, "sensitivity", "--experiment", "paper:cnot")
         assert code == EXIT_OK
         assert "non_optimal" not in strict_json(out / "sensitivity_report.json")
+        stdout = capsys.readouterr().out
+        assert "tolerance radius" in stdout and "non-optimal" not in stdout
 
 
 class TestStrictJson:

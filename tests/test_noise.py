@@ -71,6 +71,18 @@ def test_strong_coupling_warns():
         NoiseModel(alpha=0.2, temperature=0.0, cutoff=1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: NoiseModel(alpha=0.2, temperature=0.0, cutoff=1.0),
+    lambda: NoiseModel.from_reduced(alpha=0.2),
+], ids=["init", "from_reduced"])
+def test_strong_coupling_warns_at_caller(build):
+    # The warning names the code that asked for the model, whichever
+    # constructor it used, not noise.py.
+    with pytest.warns(UserWarning, match="weak-coupling") as record:
+        build()
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_from_reduced_defaults():
     nm = NoiseModel.from_reduced()
     assert nm.alpha == 0.01

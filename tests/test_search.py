@@ -24,7 +24,7 @@ from degengate import (
 )
 from degengate.errors import InvalidParameterError, StateValidityError
 from degengate.redfield import purity_slopes
-from degengate.search import _spec_params
+from degengate.search import SWEEP_CHUNK_CELLS, _spec_params
 
 DESK = NoiseModel.from_reduced()
 
@@ -280,16 +280,19 @@ class TestSweep:
         assert not res.feasible.any()
         assert np.all(np.isnan(res.decay_rate))
 
-    def test_linalg_error_marks_only_its_cell(self, monkeypatch):
-        # The failing cell's row is redone cell by cell; its neighbours keep
-        # their rates and the other rows never leave the batched path.
+    @pytest.mark.parametrize("n, i, j, chunk", [(9, 4, 3, 0), (41, 20, 10, 1)],
+                             ids=["one-chunk", "later-chunk"])
+    def test_linalg_error_marks_only_its_cell(self, monkeypatch, n, i, j, chunk):
+        # The failing cell's chunk is redone cell by cell; its neighbours keep
+        # their rates and the other chunks never leave the batched path.
         import degengate.search as search_mod
 
-        grid = fig1_grid(n=9)
+        grid = fig1_grid(n=n)
+        rows = SWEEP_CHUNK_CELLS // n
+        assert i // rows == chunk
         clean = sweep(grid, DESK)
-        i, j = 4, 3
         assert clean.feasible[i].sum() > 1 and clean.feasible[i, j]
-        bad_energies = np.linalg.eigh(search_mod.build_hamiltonians(grid.row_controls(i)[0][j]))[0]
+        bad_energies = np.linalg.eigh(search_mod.build_hamiltonians(grid.controls()[0][i, j]))[0]
         calls = []
 
         def failing(energies, vectors, nm):
@@ -302,14 +305,42 @@ class TestSweep:
         res = sweep(grid, DESK)
         assert res.reason[i, j] == "error: Eigenvalues did not converge"
         assert not res.feasible[i, j] and np.isnan(res.decay_rate[i, j])
-        others = np.ones((9, 9), dtype=bool)
+        others = np.ones((n, n), dtype=bool)
         others[i, j] = False
         np.testing.assert_array_equal(res.feasible[others], clean.feasible[others])
         np.testing.assert_array_equal(res.reason[others], clean.reason[others])
         np.testing.assert_allclose(res.decay_rate[others], clean.decay_rate[others],
                                    rtol=1e-13, atol=0)
-        # one batch per row, plus one call per feasible cell of row i
-        assert len(calls) == 9 + clean.feasible[i].sum()
+        # one batch per chunk, plus one call per feasible cell of the failing chunk
+        n_chunks = -(-n // rows)
+        assert len(calls) == n_chunks + clean.feasible[chunk * rows:(chunk + 1) * rows].sum()
+
+    @pytest.mark.parametrize("grid", [
+        fig1_grid(),
+        SweepGrid(param1="jy", param2="jz", values1=[0.5, 1.0, 1.5],
+                  values2=np.linspace(0.48, 2.08, SWEEP_CHUNK_CELLS + 188),
+                  fixed={"delta1": 1.0, "delta2": 1.0}, closure="jx_from_norm",
+                  coupling_norm=np.sqrt(4.25)),
+    ], ids=["fig1", "rows-longer-than-a-chunk"])
+    def test_kernel_calls_are_bounded_and_cover_each_cell_once(self, monkeypatch, grid):
+        # Kernel memory must not grow with the grid: no call takes more than
+        # SWEEP_CHUNK_CELLS cells, and the calls take every feasible cell
+        # once, in index order.
+        import degengate.search as search_mod
+
+        kernel, seen = search_mod._sweep_cells, []
+
+        def spy(controls, nm, tol):
+            seen.append(controls)
+            return kernel(controls, nm, tol)
+
+        monkeypatch.setattr(search_mod, "_sweep_cells", spy)
+        res = sweep(grid, DESK)
+        controls, allowed = grid.controls()
+        assert len(seen) > 1
+        assert max(len(c) for c in seen) <= SWEEP_CHUNK_CELLS
+        np.testing.assert_array_equal(np.concatenate(seen), controls[allowed])
+        np.testing.assert_array_equal(res.feasible, allowed)
 
     def test_fig1_matches_per_cell_reference(self):
         # Reference: every cell on its own through eigensystem,
@@ -362,7 +393,7 @@ class TestSweep:
         import degengate.search as search_mod
 
         grid = fig1_grid(n=5)
-        bad = np.linalg.eigh(search_mod.build_hamiltonians(grid.row_controls(2)[0][1]))[0]
+        bad = np.linalg.eigh(search_mod.build_hamiltonians(grid.controls()[0][2, 1]))[0]
 
         def failing(energies, vectors, nm):
             if np.any(np.all(energies == bad, axis=-1)):
